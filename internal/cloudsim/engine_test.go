@@ -235,3 +235,49 @@ func TestPlacementPolicies(t *testing.T) {
 		})
 	}
 }
+
+// TestWindowSchemeAlarmDigests pins the alarm digest of a small
+// window-fidelity cluster for every window-capable scheme, so each
+// detector's ObserveMA path is held to recorded output. The scenario runs
+// without mitigation, keeping every VM on its initial host. SDS/P runs on
+// periodic applications only.
+func TestWindowSchemeAlarmDigests(t *testing.T) {
+	cases := []struct {
+		scheme string
+		apps   []string
+		alarms int
+		digest uint64
+	}{
+		{"SDS", []string{workload.KMeans, workload.FaceNet}, 11, 9345521301702688549},
+		{"SDS/B", []string{workload.KMeans, workload.FaceNet}, 13, 12691628047859548080},
+		{"SDS/P", []string{workload.FaceNet, workload.PCA}, 12, 150849053574829525},
+		{"CUSUM", []string{workload.KMeans, workload.FaceNet}, 12, 687466816048930775},
+		{"TimeFrag", []string{workload.KMeans, workload.FaceNet}, 13, 9920223926400502817},
+		{"EWMAVar", []string{workload.KMeans, workload.FaceNet}, 7, 11196579609018240308},
+	}
+	for _, tc := range cases {
+		t.Run(tc.scheme, func(t *testing.T) {
+			res, err := Run(Scenario{
+				Name:           "digest-pin",
+				Seed:           5,
+				Hosts:          4,
+				VMsPerHost:     3,
+				Seconds:        300,
+				Apps:           tc.apps,
+				Scheme:         tc.scheme,
+				MonitorAll:     true,
+				ProfileSeconds: 400,
+				Attackers:      3,
+				AttackKind:     AttackMixed,
+				AttackStart:    60,
+				Mitigation:     Mitigation{Policy: PolicyNone},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Alarms != tc.alarms || res.AlarmDigest != tc.digest {
+				t.Fatalf("alarms %d digest %d, want %d digest %d", res.Alarms, res.AlarmDigest, tc.alarms, tc.digest)
+			}
+		})
+	}
+}
