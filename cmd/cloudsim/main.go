@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"github.com/memdos/sds/internal/cloudsim"
+	"github.com/memdos/sds/internal/detect"
 	"github.com/memdos/sds/internal/experiment"
 )
 
@@ -29,7 +30,7 @@ func main() {
 		vms       = flag.Int("vms", 0, "VMs per host (0 = scenario or default 8)")
 		seconds   = flag.Float64("seconds", 0, "virtual run duration (0 = scenario or default 900)")
 		fidelity  = flag.String("fidelity", "", "telemetry fidelity: window or exact (default window)")
-		scheme    = flag.String("scheme", "", `detection scheme (default "SDS")`)
+		scheme    = flag.String("scheme", "", `detection scheme: none or one of `+detect.SchemeNames(false)+`, or a lowercase alias (default "SDS")`)
 		attackers = flag.Int("attackers", -1, "attacker VM count (-1 = scenario or hosts/20+1)")
 		strategy  = flag.String("attack-strategy", "", `evasive attacker strategy: steady, duty-cycle, period-mimic, slow-ramp, coordinated or reprofile-timed (default "steady")`)
 		policies  = flag.String("policies", "none,throttle-migrate", "comma-separated mitigation policies to compare")

@@ -29,13 +29,14 @@ import (
 	"os"
 
 	"github.com/memdos/sds"
+	"github.com/memdos/sds/internal/detect"
 	"github.com/memdos/sds/internal/feed"
 	"github.com/memdos/sds/internal/server"
 )
 
 func main() {
 	var (
-		scheme         = flag.String("scheme", "sds", "detection scheme: sds, sdsb, sdsp or kstest")
+		scheme         = flag.String("scheme", "sds", "detection scheme: "+detect.SchemeNames(true))
 		profileSeconds = flag.Float64("profile-seconds", 900, "leading stream seconds used as the Stage-1 profile")
 		appName        = flag.String("app", "monitored-vm", "application name for the profile")
 		jsonOut        = flag.Bool("json", false, "emit alarms as JSON lines")

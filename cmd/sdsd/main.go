@@ -5,11 +5,12 @@
 // Each protected VM (or its telemetry agent) opens one connection, sends
 // the handshake line
 //
-//	sds/1 vm=<id> [app=<name>] [scheme=<sds|sdsb|sdsp|kstest|cusum|timefrag|ewmavar>] [profile=<seconds>]
+//	sds/1 vm=<id> [app=<name>] [scheme=<alias>] [profile=<seconds>]
 //
-// and then streams `t,access,miss` CSV lines. The server runs the
-// profile→detect lifecycle per stream and answers on the same connection
-// with `ok`, `alarm {json}` and `done` lines. Operational state is served
+// where <alias> is a scheme's wire alias from the detect registry (sdsd -h
+// lists them), and then streams `t,access,miss` CSV lines. The server runs
+// the profile→detect lifecycle per stream and answers on the same
+// connection with `ok`, `alarm {json}` and `done` lines. Operational state is served
 // over HTTP at -ops: GET /healthz and GET /metricsz.
 //
 //	# serve TCP streams, ops surface on :7032
@@ -34,6 +35,7 @@ import (
 	"syscall"
 	"time"
 
+	"github.com/memdos/sds/internal/detect"
 	"github.com/memdos/sds/internal/server"
 )
 
@@ -42,7 +44,7 @@ func main() {
 		listen         = flag.String("listen", "127.0.0.1:7031", "TCP address for VM sample streams (empty to disable)")
 		unixPath       = flag.String("unix", "", "unix socket path for VM sample streams (empty to disable)")
 		ops            = flag.String("ops", "127.0.0.1:7032", "HTTP address for /healthz and /metricsz (empty to disable)")
-		scheme         = flag.String("scheme", "sds", "default detection scheme: sds, sdsb, sdsp, kstest, cusum, timefrag or ewmavar")
+		scheme         = flag.String("scheme", "sds", "default detection scheme: "+detect.SchemeNames(true))
 		app            = flag.String("app", "monitored-vm", "default application name for profiles")
 		profileSeconds = flag.Float64("profile-seconds", 900, "default Stage-1 profile window in stream seconds")
 		buffer         = flag.Int("buffer", 1024, "per-connection sample buffer (full buffer backpressures the client)")

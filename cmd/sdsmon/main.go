@@ -9,9 +9,11 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"github.com/memdos/sds/internal/attack"
+	"github.com/memdos/sds/internal/detect"
 	"github.com/memdos/sds/internal/experiment"
 	"github.com/memdos/sds/internal/pcm"
 	"github.com/memdos/sds/internal/randx"
@@ -24,17 +26,17 @@ func main() {
 		attackAt = flag.Float64("at", 60, "attack start time in virtual seconds (0 disables)")
 		kindName = flag.String("attack", "buslock", "attack kind: buslock or cleanse")
 		duration = flag.Float64("duration", 180, "total virtual run time in seconds")
-		scheme   = flag.String("scheme", "sds", "detection scheme: sds, sdsb, sdsp or kstest")
+		scheme   = flag.String("scheme", "sds", "detection scheme: "+detect.SchemeNames(true)+" (or the canonical name)")
 		seed     = flag.Uint64("seed", 1, "simulation seed")
 	)
 	flag.Parse()
-	if err := run(*app, *kindName, *attackAt, *duration, *scheme, *seed); err != nil {
+	if err := run(os.Stdout, *app, *kindName, *attackAt, *duration, *scheme, *seed); err != nil {
 		fmt.Fprintln(os.Stderr, "sdsmon:", err)
 		os.Exit(1)
 	}
 }
 
-func run(app, kindName string, attackAt, duration float64, schemeName string, seed uint64) error {
+func run(w io.Writer, app, kindName string, attackAt, duration float64, schemeName string, seed uint64) error {
 	kind := attack.BusLock
 	switch kindName {
 	case "buslock":
@@ -43,33 +45,25 @@ func run(app, kindName string, attackAt, duration float64, schemeName string, se
 	default:
 		return fmt.Errorf("unknown attack kind %q", kindName)
 	}
-	var scheme experiment.Scheme
-	switch schemeName {
-	case "sds":
-		scheme = experiment.SchemeSDS
-	case "sdsb":
-		scheme = experiment.SchemeSDSB
-	case "sdsp":
-		scheme = experiment.SchemeSDSP
-	case "kstest":
-		scheme = experiment.SchemeKSTest
-	default:
-		return fmt.Errorf("unknown scheme %q", schemeName)
+	entry, ok := detect.LookupScheme(schemeName)
+	if !ok {
+		return fmt.Errorf("unknown scheme %q (want one of %s)", schemeName, detect.SchemeNames(true))
 	}
+	scheme := experiment.Scheme(entry.Name)
 
 	cfg := experiment.DefaultConfig()
 	cfg.Seed = seed
 
-	fmt.Printf("profiling %s (Stage 1, %.0f s of attack-free telemetry)...\n", app, cfg.ProfileSeconds)
+	fmt.Fprintf(w, "profiling %s (Stage 1, %.0f s of attack-free telemetry)...\n", app, cfg.ProfileSeconds)
 	prof, det, flag, err := cfg.BuildDetector(app, scheme, seed)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("profile: μ_access=%.4g σ_access=%.4g", prof.MeanAccess, prof.StdAccess)
+	fmt.Fprintf(w, "profile: μ_access=%.4g σ_access=%.4g", prof.MeanAccess, prof.StdAccess)
 	if prof.Periodic {
-		fmt.Printf(" periodic (period %d MA windows)", prof.PeriodMA)
+		fmt.Fprintf(w, " periodic (period %d MA windows)", prof.PeriodMA)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 
 	model, err := workload.NewModel(workload.MustAppProfile(app), randx.DeriveString(seed, app+"/sdsmon"))
 	if err != nil {
@@ -86,7 +80,7 @@ func run(app, kindName string, attackAt, duration float64, schemeName string, se
 	for i := 0; i < n; i++ {
 		now := float64(i+1) * tpcm
 		if sched.Kind != attack.None && now-tpcm < attackAt && now >= attackAt {
-			fmt.Printf("[%7.2fs] >>> %v attack launched (ramp %.0f s)\n", now, kind, sched.Ramp)
+			fmt.Fprintf(w, "[%7.2fs] >>> %v attack launched (ramp %.0f s)\n", now, kind, sched.Ramp)
 		}
 		a, m := model.Sample(tpcm, sched.Env(now, flag.Paused()))
 		det.Observe(pcm.Sample{T: now, Access: a, Miss: m})
@@ -95,12 +89,12 @@ func run(app, kindName string, attackAt, duration float64, schemeName string, se
 			if wasAlarmed {
 				alarms := det.Alarms()
 				last := alarms[len(alarms)-1]
-				fmt.Printf("[%7.2fs] ALARM (%s): %s\n", now, last.Detector, last.Reason)
+				fmt.Fprintf(w, "[%7.2fs] ALARM (%s): %s\n", now, last.Detector, last.Reason)
 			} else {
-				fmt.Printf("[%7.2fs] alarm cleared\n", now)
+				fmt.Fprintf(w, "[%7.2fs] alarm cleared\n", now)
 			}
 		}
 	}
-	fmt.Printf("run complete: %d samples, %d alarm events\n", n, len(det.Alarms()))
+	fmt.Fprintf(w, "run complete: %d samples, %d alarm events\n", n, len(det.Alarms()))
 	return nil
 }

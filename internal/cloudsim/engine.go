@@ -26,6 +26,7 @@ func Run(sc Scenario) (Result, error) {
 // engine is the single-threaded discrete-event simulator state.
 type engine struct {
 	sc         Scenario
+	scheme     detect.Scheme // zero when sc.Scheme is "none"
 	cfg        detect.Config
 	tpcm       float64
 	horizon    int64 // run length in ticks (T_PCM intervals)
@@ -63,8 +64,10 @@ func newEngine(sc Scenario) (*engine, error) {
 	if err := sc.validate(); err != nil {
 		return nil, err
 	}
+	scheme, _ := detect.LookupScheme(sc.Scheme)
 	e := &engine{
 		sc:         sc,
+		scheme:     scheme,
 		cfg:        sc.Detect,
 		tpcm:       sc.Detect.TPCM,
 		horizon:    int64(pcm.SampleCount(sc.Seconds, sc.Detect.TPCM)),
@@ -193,59 +196,24 @@ func (e *engine) newVM(id int, r role, app string, monitored bool) (*vm, error) 
 func (e *engine) attachDetector(v *vm) error {
 	v.det, v.wobs, v.counter, v.probe = nil, nil, nil, nil
 	v.ringPos, v.ringN, v.alarmsSeen = 0, 0, 0
-	switch e.sc.Scheme {
-	case "KStest":
-		d, err := detect.NewKSTest(e.sc.KSTest, &throttleFlag{})
+	p := detect.Params{Config: e.cfg, KSTest: e.sc.KSTest}
+	if e.scheme.Throttled {
+		p.Throttler = &throttleFlag{}
+	} else {
+		prof, err := e.profileFor(v.app)
 		if err != nil {
 			return err
 		}
-		v.det, v.counter, v.probe = d, d, d
-		return nil
+		p.Profile = prof
 	}
-	prof, err := e.profileFor(v.app)
+	det, err := e.scheme.New(p)
 	if err != nil {
 		return err
 	}
-	switch e.sc.Scheme {
-	case "SDS":
-		d, err := detect.NewSDS(prof, e.cfg)
-		if err != nil {
-			return err
-		}
-		v.det, v.wobs, v.counter = d, d, d
-	case "SDS/B":
-		d, err := detect.NewSDSB(prof, e.cfg)
-		if err != nil {
-			return err
-		}
-		v.det, v.wobs, v.counter = d, d, d
-	case "SDS/P":
-		d, err := detect.NewSDSP(prof, e.cfg)
-		if err != nil {
-			return err
-		}
-		v.det, v.wobs, v.counter = d, d, d
-	case "CUSUM":
-		d, err := detect.NewCUSUM(prof, e.cfg)
-		if err != nil {
-			return err
-		}
-		v.det, v.wobs, v.counter = d, d, d
-	case "TimeFrag":
-		d, err := detect.NewTimeFrag(prof, e.cfg)
-		if err != nil {
-			return err
-		}
-		v.det, v.wobs, v.counter = d, d, d
-	case "EWMAVar":
-		d, err := detect.NewEWMAVar(prof, e.cfg)
-		if err != nil {
-			return err
-		}
-		v.det, v.wobs, v.counter = d, d, d
-	default:
-		return fmt.Errorf("cloudsim: no detector for scheme %q", e.sc.Scheme)
-	}
+	v.det = det
+	v.wobs, _ = det.(detect.WindowObserver)
+	v.counter, _ = det.(detect.AlarmCounter)
+	v.probe, _ = det.(collectProbe)
 	return nil
 }
 

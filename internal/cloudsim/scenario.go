@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"strings"
 
 	"github.com/memdos/sds/internal/attack"
 	"github.com/memdos/sds/internal/detect"
@@ -86,9 +87,11 @@ type Scenario struct {
 	Fidelity string `json:"fidelity,omitempty"`
 	// Apps cycles over the initial VMs (default: all ten paper apps).
 	Apps []string `json:"apps,omitempty"`
-	// Scheme is the detection scheme of monitored VMs: "SDS", "SDS/B",
-	// "SDS/P", "CUSUM", "TimeFrag", "EWMAVar", "KStest" (exact fidelity
-	// only) or "none" (default "SDS").
+	// Scheme is the detection scheme of monitored VMs: a canonical name
+	// or wire alias from the detect registry (detect.Schemes), normalized
+	// to the canonical name, or "none" (default "SDS"). Schemes without a
+	// window-level entry point (KStest) need exact fidelity; schemes that
+	// require a periodic profile (SDS/P) need periodic applications.
 	Scheme string `json:"scheme,omitempty"`
 	// MonitorAll monitors every benign VM, not just each host's victim.
 	MonitorAll bool `json:"monitor_all,omitempty"`
@@ -135,7 +138,7 @@ type Scenario struct {
 	// Detect carries the SDS parameters; the zero value means the paper's
 	// Table 1 defaults. Not part of scenario files.
 	Detect detect.Config `json:"-"`
-	// KSTest carries the baseline parameters for Scheme "KStest"; the zero
+	// KSTest carries the baseline parameters for the KStest scheme; the zero
 	// value means defaults. Not part of scenario files.
 	KSTest detect.KSTestConfig `json:"-"`
 }
@@ -155,7 +158,9 @@ func (s Scenario) withDefaults() Scenario {
 		s.Apps = workload.AppNames()
 	}
 	if s.Scheme == "" {
-		s.Scheme = "SDS"
+		s.Scheme = detect.NameSDS
+	} else if scheme, ok := detect.LookupScheme(s.Scheme); ok {
+		s.Scheme = scheme.Name
 	}
 	if s.ProfileSeconds == 0 {
 		s.ProfileSeconds = 2000
@@ -233,10 +238,9 @@ func (s Scenario) validate() error {
 	default:
 		return fmt.Errorf("cloudsim: unknown fidelity %q", s.Fidelity)
 	}
-	switch s.Scheme {
-	case "SDS", "SDS/B", "SDS/P", "CUSUM", "TimeFrag", "EWMAVar", "KStest", "none":
-	default:
-		return fmt.Errorf("cloudsim: unknown scheme %q", s.Scheme)
+	scheme, known := detect.LookupScheme(s.Scheme)
+	if !known && s.Scheme != "none" {
+		return fmt.Errorf("cloudsim: unknown scheme %q (want none or one of %s)", s.Scheme, detect.SchemeNames(false))
 	}
 	switch s.Placement {
 	case PlaceLeastLoaded, PlaceRandom, PlaceFirstFit:
@@ -259,10 +263,10 @@ func (s Scenario) validate() error {
 	if err := s.Detect.Validate(); err != nil {
 		return err
 	}
-	if s.Scheme == "KStest" {
-		if s.Fidelity != FidelityExact {
-			return fmt.Errorf("cloudsim: the KStest baseline consumes raw samples and needs %q fidelity", FidelityExact)
-		}
+	if known && !scheme.Window && s.Fidelity != FidelityExact {
+		return fmt.Errorf("cloudsim: the %s scheme consumes raw samples and needs %q fidelity", scheme.Name, FidelityExact)
+	}
+	if scheme.Throttled {
 		if err := s.KSTest.Validate(); err != nil {
 			return err
 		}
@@ -270,10 +274,19 @@ func (s Scenario) validate() error {
 	if s.Mitigation.Policy != PolicyNone && s.Scheme == "none" {
 		return fmt.Errorf("cloudsim: mitigation policy %q needs a detection scheme", s.Mitigation.Policy)
 	}
+	var aperiodic []string
 	for _, app := range s.Apps {
-		if _, err := workload.AppProfile(app); err != nil {
+		prof, err := workload.AppProfile(app)
+		if err != nil {
 			return err
 		}
+		if !prof.Periodic {
+			aperiodic = append(aperiodic, app)
+		}
+	}
+	if scheme.Periodic && len(aperiodic) > 0 {
+		return fmt.Errorf("cloudsim: the %s scheme requires periodic applications, but %s are aperiodic",
+			scheme.Name, strings.Join(aperiodic, ", "))
 	}
 	if s.Fidelity == FidelityWindow {
 		if s.Detect.W%s.Detect.DW != 0 {

@@ -3,6 +3,9 @@ package cloudsim
 import (
 	"strings"
 	"testing"
+
+	"github.com/memdos/sds/internal/detect"
+	"github.com/memdos/sds/internal/workload"
 )
 
 func TestParseScenario(t *testing.T) {
@@ -58,6 +61,10 @@ func TestValidateRejections(t *testing.T) {
 		{"bad attack kind", func(s *Scenario) { s.AttackKind = "rowhammer" }, "attack kind"},
 		{"bad app", func(s *Scenario) { s.Apps = []string{"doom"} }, "doom"},
 		{"kstest needs exact", func(s *Scenario) { s.Scheme = "KStest" }, "fidelity"},
+		{"periodic scheme needs periodic apps", func(s *Scenario) {
+			s.Seconds = 120
+			s.Scheme = "SDS/P"
+		}, "bayes"},
 		{"policy needs scheme", func(s *Scenario) {
 			s.Scheme = "none"
 			s.Mitigation.Policy = PolicyMigrate
@@ -77,5 +84,48 @@ func TestValidateRejections(t *testing.T) {
 				t.Fatal("Run accepted the invalid scenario")
 			}
 		})
+	}
+}
+
+// TestValidateSchemesFromRegistry: every canonical name and wire alias of
+// the detect registry validates (at exact fidelity for raw-sample schemes,
+// on periodic applications for SDS/P) and normalizes to the canonical
+// name; anything else is rejected.
+func TestValidateSchemesFromRegistry(t *testing.T) {
+	for _, s := range detect.Schemes() {
+		for _, name := range []string{s.Name, s.Alias} {
+			sc := Scenario{Hosts: 4, Scheme: name}
+			if !s.Window {
+				sc.Fidelity = FidelityExact
+			}
+			if s.Periodic {
+				sc.Apps = []string{workload.FaceNet, workload.PCA}
+			}
+			d := sc.withDefaults()
+			if err := d.validate(); err != nil {
+				t.Fatalf("scheme %q rejected: %v", name, err)
+			}
+			if d.Scheme != s.Name {
+				t.Fatalf("scheme %q normalized to %q, want %q", name, d.Scheme, s.Name)
+			}
+		}
+	}
+	if err := (Scenario{Hosts: 4, Scheme: "none"}).withDefaults().validate(); err != nil {
+		t.Fatalf("scheme none rejected: %v", err)
+	}
+	if err := (Scenario{Hosts: 4, Scheme: "sds/x"}).withDefaults().validate(); err == nil {
+		t.Fatal("unknown scheme accepted")
+	}
+}
+
+// TestRunWithSchemeAlias runs a small cluster under a wire alias; the
+// result reports the canonical name.
+func TestRunWithSchemeAlias(t *testing.T) {
+	res, err := Run(Scenario{Hosts: 2, VMsPerHost: 2, Seconds: 60, ProfileSeconds: 300, Scheme: "sdsb"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Scheme != detect.NameSDSB {
+		t.Fatalf("result scheme %q, want %q", res.Scheme, detect.NameSDSB)
 	}
 }

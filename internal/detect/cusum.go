@@ -1,11 +1,6 @@
 package detect
 
-import (
-	"fmt"
-
-	"github.com/memdos/sds/internal/pcm"
-	"github.com/memdos/sds/internal/timeseries"
-)
+import "fmt"
 
 // CUSUM default knobs (Config.CusumK/CusumH zero values resolve to these;
 // CusumK additionally falls back to the boundary factor K when both are
@@ -39,7 +34,7 @@ const (
 // the classic change-point trade: faster on sustained shifts, and the
 // slack/interval pair (not a streak length) sets the ARL.
 type CUSUM struct {
-	cfg  Config
+	pipeline
 	prof Profile
 
 	slack, h, bound float64
@@ -47,15 +42,8 @@ type CUSUM struct {
 	muA, invSdA float64
 	muM, invSdM float64
 
-	maA, maM *timeseries.MovingAverager
-	ewA, ewM *timeseries.EWMA
-
 	posA, negA float64
 	posM, negM float64
-
-	windows int
-	alarmed bool
-	alarms  []Alarm
 }
 
 var _ Detector = (*CUSUM)(nil)
@@ -65,19 +53,21 @@ var _ AlarmCounter = (*CUSUM)(nil)
 // NewCUSUM returns a CUSUM detector for an application with the given
 // Stage-1 profile.
 func NewCUSUM(prof Profile, cfg Config) (*CUSUM, error) {
-	if err := cfg.Validate(); err != nil {
+	fe, err := newFrontEnd(cfg)
+	if err != nil {
 		return nil, err
 	}
-	if prof.StdAccess < 0 || prof.StdMiss < 0 {
-		return nil, fmt.Errorf("detect: profile for %q has negative σ", prof.App)
+	if err := checkSigma(prof); err != nil {
+		return nil, err
 	}
 	d := &CUSUM{
-		cfg:   cfg,
-		prof:  prof,
-		slack: cfg.CusumK,
-		h:     cfg.CusumH,
-		muA:   prof.MeanAccess,
-		muM:   prof.MeanMiss,
+		prof:   prof,
+		slack:  cfg.CusumK,
+		h:      cfg.CusumH,
+		muA:    prof.MeanAccess,
+		muM:    prof.MeanMiss,
+		invSdA: invStd(prof.StdAccess),
+		invSdM: invStd(prof.StdMiss),
 	}
 	if d.slack == 0 {
 		d.slack = cfg.K
@@ -86,21 +76,7 @@ func NewCUSUM(prof Profile, cfg Config) (*CUSUM, error) {
 		d.h = defaultCusumH
 	}
 	d.bound = cusumCapMult * d.h
-	d.invSdA = invStd(prof.StdAccess)
-	d.invSdM = invStd(prof.StdMiss)
-	var err error
-	if d.maA, err = timeseries.NewMovingAverager(cfg.W, cfg.DW); err != nil {
-		return nil, err
-	}
-	if d.maM, err = timeseries.NewMovingAverager(cfg.W, cfg.DW); err != nil {
-		return nil, err
-	}
-	if d.ewA, err = timeseries.NewEWMA(cfg.Alpha); err != nil {
-		return nil, err
-	}
-	if d.ewM, err = timeseries.NewEWMA(cfg.Alpha); err != nil {
-		return nil, err
-	}
+	d.bind(NameCUSUM, fe, d)
 	return d, nil
 }
 
@@ -114,9 +90,6 @@ func invStd(sd float64) float64 {
 	return 1 / sd
 }
 
-// Name implements Detector.
-func (d *CUSUM) Name() string { return "CUSUM" }
-
 // Profile returns the profile the detector was built with.
 func (d *CUSUM) Profile() Profile { return d.prof }
 
@@ -125,51 +98,30 @@ func (d *CUSUM) Profile() Profile { return d.prof }
 func (d *CUSUM) Slack() float64    { return d.slack }
 func (d *CUSUM) Interval() float64 { return d.h }
 
-// Observe implements Detector.
-func (d *CUSUM) Observe(s pcm.Sample) {
-	mA, okA := d.maA.Push(s.Access)
-	mM, okM := d.maM.Push(s.Miss)
-	if !okA && !okM {
-		return
-	}
-	// Both averagers share the same geometry, so they emit together.
-	d.ObserveMA(s.T, mA, mM)
-}
-
-// ObserveMA feeds one window-level observation — the moving averages M_n of
-// the two counters at virtual time t — directly into the post-MA pipeline.
-// Feed a detector through either Observe or ObserveMA, never both.
-func (d *CUSUM) ObserveMA(t float64, mA, mM float64) {
-	zA := (d.ewA.Push(mA) - d.muA) * d.invSdA
-	zM := (d.ewM.Push(mM) - d.muM) * d.invSdM
-	d.windows++
-
+// decide advances the four one-sided statistics on the standardized S_n.
+func (d *CUSUM) decide(w *window) bool {
+	zA := (w.eA - d.muA) * d.invSdA
+	zM := (w.eM - d.muM) * d.invSdM
 	d.posA = cusumStep(d.posA, zA-d.slack, d.bound)
 	d.negA = cusumStep(d.negA, -zA-d.slack, d.bound)
 	d.posM = cusumStep(d.posM, zM-d.slack, d.bound)
 	d.negM = cusumStep(d.negM, -zM-d.slack, d.bound)
+	return d.posA >= d.h || d.negA >= d.h || d.posM >= d.h || d.negM >= d.h
+}
 
-	nowAlarmed := d.posA >= d.h || d.negA >= d.h || d.posM >= d.h || d.negM >= d.h
-	if nowAlarmed && !d.alarmed {
-		metric, stat, dir := MetricAccess, d.negA, "drop"
-		switch {
-		case d.posM >= d.h || d.negM >= d.h:
-			metric, stat, dir = MetricMiss, d.posM, "rise"
-			if d.negM > d.posM {
-				stat, dir = d.negM, "drop"
-			}
-		case d.posA > d.negA:
-			stat, dir = d.posA, "rise"
+func (d *CUSUM) evidence(*window) (Metric, string) {
+	metric, stat, dir := MetricAccess, d.negA, "drop"
+	switch {
+	case d.posM >= d.h || d.negM >= d.h:
+		metric, stat, dir = MetricMiss, d.posM, "rise"
+		if d.negM > d.posM {
+			stat, dir = d.negM, "drop"
 		}
-		d.alarms = append(d.alarms, Alarm{
-			T:        t,
-			Detector: d.Name(),
-			Metric:   metric,
-			Reason: fmt.Sprintf("%s CUSUM %s statistic %.2f ≥ decision interval %.2f (slack %.3gσ)",
-				metric, dir, stat, d.h, d.slack),
-		})
+	case d.posA > d.negA:
+		stat, dir = d.posA, "rise"
 	}
-	d.alarmed = nowAlarmed
+	return metric, fmt.Sprintf("%s CUSUM %s statistic %.2f ≥ decision interval %.2f (slack %.3gσ)",
+		metric, dir, stat, d.h, d.slack)
 }
 
 // cusumStep advances one one-sided statistic: accumulate the slack-adjusted
@@ -190,12 +142,3 @@ func cusumStep(c, dz, bound float64) float64 {
 func (d *CUSUM) Statistics() (posA, negA, posM, negM float64) {
 	return d.posA, d.negA, d.posM, d.negM
 }
-
-// Alarmed implements Detector.
-func (d *CUSUM) Alarmed() bool { return d.alarmed }
-
-// AlarmCount implements AlarmCounter.
-func (d *CUSUM) AlarmCount() int { return len(d.alarms) }
-
-// Alarms implements Detector.
-func (d *CUSUM) Alarms() []Alarm { return cloneAlarms(d.alarms) }

@@ -1,22 +1,44 @@
 // Package detect implements the paper's contribution: two lightweight
 // statistical schemes for real-time detection of memory DoS attacks from
-// PCM counter samples, plus the prior-work baseline they are evaluated
-// against.
+// PCM counter samples, the prior-work baseline they are evaluated against,
+// and a zoo of further baselines for the ROC and evasion tournaments.
 //
-//   - SDSB (paper §4.2.1) profiles the mean μ_E and standard deviation σ_E
-//     of the EWMA-smoothed counter series and raises an alarm after H_C
-//     consecutive samples outside [μ_E−kσ_E, μ_E+kσ_E]; Chebyshev's
-//     inequality bounds the false-alarm probability for any counter
-//     distribution.
-//   - SDSP (paper §4.2.2) tracks the period of the moving-average series of
-//     a periodic application with a DFT+ACF estimator and raises an alarm
-//     after H_P consecutive >20% period deviations.
-//   - SDS combines them: SDS/B alone for non-periodic applications, the
-//     conjunction of SDS/B and SDS/P for periodic ones (§5.1).
-//   - KSTest is the baseline of Zhang et al. (AsiaCCS '17): it throttles
-//     co-located VMs to collect attack-free reference samples and compares
-//     them with monitored samples using the two-sample Kolmogorov–Smirnov
-//     test.
+// Every window scheme is built from the same three parts:
+//
+//   - the front end, the paper's preprocessing (§4.1): the moving average
+//     M_n of each counter over W samples with step ΔW (Eq. 1), then its
+//     EWMA S_n (Eq. 2). It runs once per raw sample; ObserveMA enters it
+//     after the averagers, for callers that compute M_n themselves.
+//   - a rule, the scheme's per-window decision over M_n, S_{n−1} and S_n,
+//     called once per window;
+//   - the ledger, which records rising edges of the rule's alarm state and
+//     serves Alarmed, AlarmCount and Alarms.
+//
+// The rules are:
+//
+//   - SDS/B (paper §4.2.1): H_C consecutive windows with S_n outside the
+//     profiled normal range [μ_E−kσ_E, μ_E+kσ_E]; Chebyshev's inequality
+//     bounds the false-alarm probability for any counter distribution.
+//   - SDS/P (paper §4.2.2): H_P consecutive >20% deviations of the period
+//     of the M_n series of a periodic application, estimated with DFT+ACF.
+//   - SDS (§5.1): SDS/B alone for non-periodic applications, the
+//     conjunction of SDS/B and SDS/P for periodic ones.
+//   - CUSUM: two-sided cumulative sums of the standardized S_n, in the
+//     style of CacheShield.
+//   - TimeFrag: the density of out-of-range windows in a sliding span, in
+//     the style of Prada et al., which tolerates duty-cycled attacks.
+//   - EWMAVar: an EWMA of the variance of M_n around S_{n−1},
+//     self-calibrated on live traffic.
+//
+// KStest, the baseline of Zhang et al. (AsiaCCS '17), is not a window
+// scheme: it throttles co-located VMs to collect attack-free reference
+// samples and compares them with raw monitored samples using the
+// two-sample Kolmogorov–Smirnov test. It uses the ledger alone.
+//
+// The scheme registry (Schemes, LookupScheme) is the one place that maps a
+// scheme's canonical name ("SDS/B") and wire alias ("sdsb") to its
+// constructor and capabilities; the server, the experiment grid, the cloud
+// simulator and the commands all resolve scheme names through it.
 package detect
 
 import (
@@ -54,7 +76,8 @@ func (m Metric) String() string {
 type Alarm struct {
 	// T is the virtual time at which the alarm fired, seconds.
 	T float64
-	// Detector is the detector name ("SDS/B", "SDS/P", "SDS", "KStest").
+	// Detector is the canonical name of the scheme that raised it (see
+	// Schemes).
 	Detector string
 	// Metric is the counter that triggered the alarm.
 	Metric Metric
@@ -80,9 +103,10 @@ type Detector interface {
 // Detector.Observe: implementations accept the moving averages M_n of the
 // two counters directly, bypassing their internal averagers. The
 // event-driven cloud simulator generates telemetry in closed-form ΔW-sample
-// blocks and feeds detectors through this interface; SDS, SDS/B and SDS/P
-// implement it (KStest does not — it consumes raw samples and is only
-// available at exact fidelity). A detector must be fed through either
+// blocks and feeds detectors through this interface; every scheme whose
+// registry entry has Window set implements it (KStest does not — it
+// consumes raw samples and is only available at exact fidelity). A
+// detector must be fed through either
 // Observe or ObserveMA for its whole lifetime, never a mix.
 type WindowObserver interface {
 	ObserveMA(t float64, maAccess, maMiss float64)
@@ -198,19 +222,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("detect: EWMAVar β must be in [0,1] and calib/H ≥ 0 (0 = default), got β=%v calib=%d H=%d", c.VarBeta, c.VarCalib, c.VarH)
 	}
 	return nil
-}
-
-// cloneAlarms is the defensive copy every Alarms() implementation returns.
-// The contract is uniform across the detector zoo: the returned slice is the
-// caller's to keep, append to, or mutate — it must never alias the
-// detector's internal history, or a caller that retains it would observe
-// later rising edges appearing in (or racing with) a slice it believes is a
-// point-in-time snapshot. TestAlarmsNoAliasing enforces this for every
-// registered scheme.
-func cloneAlarms(alarms []Alarm) []Alarm {
-	out := make([]Alarm, len(alarms))
-	copy(out, alarms)
-	return out
 }
 
 // WindowStat is one preprocessed observation emitted by the SDS pipeline

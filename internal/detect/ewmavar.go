@@ -3,9 +3,6 @@ package detect
 import (
 	"fmt"
 	"math"
-
-	"github.com/memdos/sds/internal/pcm"
-	"github.com/memdos/sds/internal/timeseries"
 )
 
 // EWMAVar default knobs (Config.VarBeta/VarCalib/VarH zero values resolve to
@@ -54,7 +51,7 @@ const (
 // spread is EWMAVar's blind spot — which is exactly why it is fielded as a
 // baseline for the ROC tournament rather than a replacement.
 type EWMAVar struct {
-	cfg  Config
+	pipeline
 	prof Profile
 
 	k      float64
@@ -62,12 +59,7 @@ type EWMAVar struct {
 	calibN int
 	varH   int
 
-	maA, maM *timeseries.MovingAverager
-	ewA, ewM *timeseries.EWMA
-
-	prevA, prevM float64 // S_{n−1}, the smoothed means before this window
-	vA, vM       float64
-	started      bool // first window seen (seeds prevA/prevM)
+	vA, vM float64
 
 	// Welford accumulators over v during the calibration phase, then the
 	// calibrated normal ranges.
@@ -81,8 +73,6 @@ type EWMAVar struct {
 	consec     int
 	windows    int // detection-phase windows observed
 	violations int // detection-phase windows with v outside the normal range
-	alarmed    bool
-	alarms     []Alarm
 }
 
 var _ Detector = (*EWMAVar)(nil)
@@ -94,11 +84,11 @@ var _ AlarmCounter = (*EWMAVar)(nil)
 // variance baseline from the first VarCalib windows of live traffic, so it
 // needs no offline variance profile.
 func NewEWMAVar(prof Profile, cfg Config) (*EWMAVar, error) {
-	if err := cfg.Validate(); err != nil {
+	fe, err := newFrontEnd(cfg)
+	if err != nil {
 		return nil, err
 	}
 	d := &EWMAVar{
-		cfg:    cfg,
 		prof:   prof,
 		k:      cfg.K,
 		beta:   cfg.VarBeta,
@@ -115,24 +105,9 @@ func NewEWMAVar(prof Profile, cfg Config) (*EWMAVar, error) {
 		d.varH = defaultVarH
 	}
 	d.burnLeft = int(varBurnInFactor / d.beta)
-	var err error
-	if d.maA, err = timeseries.NewMovingAverager(cfg.W, cfg.DW); err != nil {
-		return nil, err
-	}
-	if d.maM, err = timeseries.NewMovingAverager(cfg.W, cfg.DW); err != nil {
-		return nil, err
-	}
-	if d.ewA, err = timeseries.NewEWMA(cfg.Alpha); err != nil {
-		return nil, err
-	}
-	if d.ewM, err = timeseries.NewEWMA(cfg.Alpha); err != nil {
-		return nil, err
-	}
+	d.bind(NameEWMAVar, fe, d)
 	return d, nil
 }
-
-// Name implements Detector.
-func (d *EWMAVar) Name() string { return "EWMAVar" }
 
 // Profile returns the profile the detector was built with.
 func (d *EWMAVar) Profile() Profile { return d.prof }
@@ -141,39 +116,22 @@ func (d *EWMAVar) Profile() Profile { return d.prof }
 // detector cannot alarm before then).
 func (d *EWMAVar) Calibrated() bool { return d.calibrated }
 
-// Observe implements Detector.
-func (d *EWMAVar) Observe(s pcm.Sample) {
-	mA, okA := d.maA.Push(s.Access)
-	mM, okM := d.maM.Push(s.Miss)
-	if !okA && !okM {
-		return
+// decide updates the variance of M_n around S_{n−1}; it calibrates first,
+// then tracks the consecutive-violation streak.
+func (d *EWMAVar) decide(w *window) bool {
+	if w.n == 0 {
+		// The first window only seeds the smoothed means.
+		return false
 	}
-	// Both averagers share the same geometry, so they emit together.
-	d.ObserveMA(s.T, mA, mM)
-}
-
-// ObserveMA feeds one window-level observation — the moving averages M_n of
-// the two counters at virtual time t — directly into the post-MA pipeline.
-// Feed a detector through either Observe or ObserveMA, never both.
-func (d *EWMAVar) ObserveMA(t float64, mA, mM float64) {
-	if !d.started {
-		// First window seeds the smoothed means; no deviation to square yet.
-		d.started = true
-		d.prevA = d.ewA.Push(mA)
-		d.prevM = d.ewM.Push(mM)
-		return
-	}
-	devA := mA - d.prevA
-	devM := mM - d.prevM
+	devA := w.mA - w.prevA
+	devM := w.mM - w.prevM
 	d.vA = (1-d.beta)*d.vA + d.beta*devA*devA
 	d.vM = (1-d.beta)*d.vM + d.beta*devM*devM
-	d.prevA = d.ewA.Push(mA)
-	d.prevM = d.ewM.Push(mM)
 
 	if !d.calibrated {
 		if d.burnLeft > 0 {
 			d.burnLeft--
-			return
+			return false
 		}
 		d.calibSeen++
 		d.meanVA, d.m2VA = welfordStep(d.meanVA, d.m2VA, d.vA, d.calibSeen)
@@ -181,32 +139,26 @@ func (d *EWMAVar) ObserveMA(t float64, mA, mM float64) {
 		if d.calibSeen >= d.calibN {
 			d.finishCalibration()
 		}
-		return
+		return false
 	}
 
 	d.windows++
-	violated := d.vA < d.loVA || d.vA > d.hiVA || d.vM < d.loVM || d.vM > d.hiVM
-	if violated {
+	if d.vA < d.loVA || d.vA > d.hiVA || d.vM < d.loVM || d.vM > d.hiVM {
 		d.violations++
 		d.consec++
 	} else {
 		d.consec = 0
 	}
-	nowAlarmed := d.consec >= d.varH
-	if nowAlarmed && !d.alarmed {
-		metric, v, lo, hi := MetricAccess, d.vA, d.loVA, d.hiVA
-		if d.vM < d.loVM || d.vM > d.hiVM {
-			metric, v, lo, hi = MetricMiss, d.vM, d.loVM, d.hiVM
-		}
-		d.alarms = append(d.alarms, Alarm{
-			T:        t,
-			Detector: d.Name(),
-			Metric:   metric,
-			Reason: fmt.Sprintf("%s EWMA variance %.4g outside normal range [%.4g, %.4g] for %d consecutive windows",
-				metric, v, lo, hi, d.consec),
-		})
+	return d.consec >= d.varH
+}
+
+func (d *EWMAVar) evidence(*window) (Metric, string) {
+	metric, v, lo, hi := MetricAccess, d.vA, d.loVA, d.hiVA
+	if d.vM < d.loVM || d.vM > d.hiVM {
+		metric, v, lo, hi = MetricMiss, d.vM, d.loVM, d.hiVM
 	}
-	d.alarmed = nowAlarmed
+	return metric, fmt.Sprintf("%s EWMA variance %.4g outside normal range [%.4g, %.4g] for %d consecutive windows",
+		metric, v, lo, hi, d.consec)
 }
 
 // welfordStep advances one running mean/M2 pair with the n-th value.
@@ -258,12 +210,3 @@ func (d *EWMAVar) VarianceBounds() (loA, hiA, loM, hiM float64, ok bool) {
 func (d *EWMAVar) ViolationStats() (windows, violations int) {
 	return d.windows, d.violations
 }
-
-// Alarmed implements Detector.
-func (d *EWMAVar) Alarmed() bool { return d.alarmed }
-
-// AlarmCount implements AlarmCounter.
-func (d *EWMAVar) AlarmCount() int { return len(d.alarms) }
-
-// Alarms implements Detector.
-func (d *EWMAVar) Alarms() []Alarm { return cloneAlarms(d.alarms) }

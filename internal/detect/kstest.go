@@ -110,6 +110,7 @@ type CheckStat struct {
 // two-sample KS test on both counters, declaring an attack after the
 // configured number of consecutive rejections.
 type KSTest struct {
+	ledger
 	cfg       KSTestConfig
 	throttler Throttler
 
@@ -133,8 +134,6 @@ type KSTest struct {
 	consec    int
 	streaks   int // Consecutive-length rejection streaks since last refresh
 	deferred  bool
-	alarmed   bool
-	alarms    []Alarm
 	checkHook func(CheckStat)
 }
 
@@ -171,14 +170,12 @@ func NewKSTest(cfg KSTestConfig, throttler Throttler, opts ...KSTestOption) (*KS
 		monA:      make([]float64, winLen),
 		monM:      make([]float64, winLen),
 	}
+	d.name = NameKSTest
 	for _, o := range opts {
 		o.applyKSTest(d)
 	}
 	return d, nil
 }
-
-// Name implements Detector.
-func (d *KSTest) Name() string { return "KStest" }
 
 // Observe implements Detector.
 func (d *KSTest) Observe(s pcm.Sample) {
@@ -280,17 +277,10 @@ func (d *KSTest) check(t float64) {
 	} else {
 		d.consec = 0
 	}
-	nowAlarmed := d.streaks >= d.cfg.ConfirmStreaks
-	if nowAlarmed && !d.alarmed {
-		d.alarms = append(d.alarms, Alarm{
-			T:        t,
-			Detector: d.Name(),
-			Metric:   MetricAccess,
-			Reason: fmt.Sprintf("reference and monitored samples differ (KS D=%.3f/%.3f) over %d rejection streaks",
-				dA, dM, d.streaks),
-		})
+	if d.edge(d.streaks >= d.cfg.ConfirmStreaks) {
+		d.raise(t, MetricAccess, fmt.Sprintf("reference and monitored samples differ (KS D=%.3f/%.3f) over %d rejection streaks",
+			dA, dM, d.streaks))
 	}
-	d.alarmed = nowAlarmed
 }
 
 // ringSnapshotInto linearizes the ring (oldest first) into the caller's
@@ -300,15 +290,6 @@ func (d *KSTest) ringSnapshotInto(out, ring []float64) []float64 {
 	copy(out[len(ring)-d.winPos:], ring[:d.winPos])
 	return out
 }
-
-// Alarmed implements Detector.
-func (d *KSTest) Alarmed() bool { return d.alarmed }
-
-// AlarmCount implements AlarmCounter.
-func (d *KSTest) AlarmCount() int { return len(d.alarms) }
-
-// Alarms implements Detector.
-func (d *KSTest) Alarms() []Alarm { return cloneAlarms(d.alarms) }
 
 // Collecting reports whether the detector is currently collecting reference
 // samples (i.e. other VMs are throttled).

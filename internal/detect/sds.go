@@ -1,34 +1,20 @@
 package detect
 
-import (
-	"fmt"
-
-	"github.com/memdos/sds/internal/pcm"
-	"github.com/memdos/sds/internal/timeseries"
-)
+import "fmt"
 
 // SDS is the combined Statistical-based Detection System of §5.1: for
 // non-periodic applications it is SDS/B alone; for periodic applications it
 // requires both SDS/B and SDS/P to agree before raising an alarm, which
 // eliminates most residual false positives of either scheme (the paper
 // measures a 3–6% specificity improvement from the conjunction).
+//
+// Its rule is the B∧P conjunction over one front end: every raw sample
+// passes through a single MA/EWMA pair, and each window is handed to both
+// sub-rules, which keep their own ledgers.
 type SDS struct {
+	pipeline
 	b *SDSB
 	p *SDSP // nil for non-periodic applications
-
-	// The combined detector drives one moving-average pair and feeds both
-	// sub-detectors' post-MA pipelines from it: SDS/B and SDS/P use the
-	// same (W, ΔW) geometry, so running their averagers separately would
-	// push every raw sample through four identical ring buffers instead
-	// of two. MA preprocessing is the hottest per-sample work in the
-	// ingest plane, so the dedup halves the dominant term. The pair is
-	// borrowed from the embedded SDS/B (idle there, since SDS never calls
-	// the sub-detectors' raw Observe) to keep construction allocation-free
-	// relative to the un-deduplicated layout.
-	maA, maM *timeseries.MovingAverager
-
-	alarmed bool
-	alarms  []Alarm
 }
 
 var _ Detector = (*SDS)(nil)
@@ -36,85 +22,50 @@ var _ Detector = (*SDS)(nil)
 // NewSDS assembles the combined detector from a Stage-1 profile: SDS/P is
 // attached automatically when the profile is periodic.
 func NewSDS(prof Profile, cfg Config) (*SDS, error) {
-	b, err := NewSDSB(prof, cfg)
+	fe, err := newFrontEnd(cfg)
+	if err != nil {
+		return nil, fmt.Errorf("detect: SDS: %w", err)
+	}
+	b, err := newSDSB(prof, cfg, fe)
 	if err != nil {
 		return nil, fmt.Errorf("detect: SDS: %w", err)
 	}
 	d := &SDS{b: b}
 	if prof.Periodic {
-		p, err := NewSDSP(prof, cfg)
-		if err != nil {
+		if d.p, err = newSDSP(prof, cfg, fe); err != nil {
 			return nil, fmt.Errorf("detect: SDS: %w", err)
 		}
-		d.p = p
 	}
-	d.maA, d.maM = b.maA, b.maM
+	d.bind(NameSDS, fe, d)
 	return d, nil
 }
 
-// Name implements Detector.
-func (d *SDS) Name() string { return "SDS" }
-
-// Boundary returns the embedded SDS/B detector.
+// Boundary returns the embedded SDS/B detector. It shares this detector's
+// averagers and EWMAs, so feed samples to the SDS, not to it.
 func (d *SDS) Boundary() *SDSB { return d.b }
 
 // Periodic returns the embedded SDS/P detector, or nil for non-periodic
-// applications.
+// applications. Like Boundary, it is driven through the SDS.
 func (d *SDS) Periodic() *SDSP { return d.p }
 
-// Observe implements Detector. Raw samples run through the shared MA pair
-// once; window boundaries fan out to both sub-detectors' ObserveMA. The
-// sub-detectors only change alarm state at window boundaries, so skipping
-// update between emissions is observationally identical to updating per
-// sample.
-func (d *SDS) Observe(s pcm.Sample) {
-	mA, okA := d.maA.Push(s.Access)
-	mM, _ := d.maM.Push(s.Miss)
-	if !okA {
-		// Both averagers share their geometry and emit together.
-		return
+// decide runs both sub-rules on the window, records their alarm states in
+// their own ledgers, and returns the conjunction.
+func (d *SDS) decide(w *window) bool {
+	d.b.record(w, d.b.decide(w), d.b)
+	if d.p == nil {
+		return d.b.alarmed
 	}
-	d.ObserveMA(s.T, mA, mM)
+	d.p.record(w, d.p.decide(w), d.p)
+	return d.b.alarmed && d.p.alarmed
 }
 
-// ObserveMA feeds one window-level observation into both sub-detectors'
-// post-MA pipelines — the batch-observation entry point of the event-driven
-// cloud simulator. Feed a detector through either Observe or ObserveMA,
-// never both.
-func (d *SDS) ObserveMA(t float64, mA, mM float64) {
-	d.b.ObserveMA(t, mA, mM)
+func (d *SDS) evidence(*window) (Metric, string) {
+	metric, reason := MetricAccess, "SDS/B boundary violation"
+	if n := len(d.b.alarms); n > 0 {
+		metric, reason = d.b.alarms[n-1].Metric, d.b.alarms[n-1].Reason
+	}
 	if d.p != nil {
-		d.p.ObserveMA(t, mA, mM)
+		reason += "; confirmed by SDS/P period deviation"
 	}
-	d.update(t)
+	return metric, reason
 }
-
-// update re-evaluates the conjunction alarm state at virtual time t.
-func (d *SDS) update(t float64) {
-	nowAlarmed := d.b.Alarmed()
-	if d.p != nil {
-		nowAlarmed = nowAlarmed && d.p.Alarmed()
-	}
-	if nowAlarmed && !d.alarmed {
-		metric := MetricAccess
-		reason := "SDS/B boundary violation"
-		if n := len(d.b.alarms); n > 0 {
-			metric = d.b.alarms[n-1].Metric
-			reason = d.b.alarms[n-1].Reason
-		}
-		if d.p != nil {
-			reason += "; confirmed by SDS/P period deviation"
-		}
-		d.alarms = append(d.alarms, Alarm{T: t, Detector: d.Name(), Metric: metric, Reason: reason})
-	}
-	d.alarmed = nowAlarmed
-}
-
-// Alarmed implements Detector.
-func (d *SDS) Alarmed() bool { return d.alarmed }
-
-// AlarmCount implements AlarmCounter.
-func (d *SDS) AlarmCount() int { return len(d.alarms) }
-
-// Alarms implements Detector.
-func (d *SDS) Alarms() []Alarm { return cloneAlarms(d.alarms) }

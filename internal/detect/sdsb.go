@@ -1,32 +1,21 @@
 package detect
 
-import (
-	"fmt"
-
-	"github.com/memdos/sds/internal/pcm"
-	"github.com/memdos/sds/internal/timeseries"
-)
+import "fmt"
 
 // SDSB is the Boundary-based Statistical Detection Scheme (paper §4.2.1).
-// It preprocesses each counter with a sliding-window moving average and an
-// EWMA, and flags an attack when the smoothed value leaves the profiled
+// Its rule flags an attack when the smoothed value S_n leaves the profiled
 // normal range [μ_E−kσ_E, μ_E+kσ_E] for H_C consecutive windows — a drop in
 // AccessNum signals bus locking, a rise in MissNum signals LLC cleansing.
 type SDSB struct {
-	cfg  Config
+	pipeline
+	hc   int
 	prof Profile
 
 	loA, hiA float64
 	loM, hiM float64
 
-	maA, maM *timeseries.MovingAverager
-	ewA, ewM *timeseries.EWMA
-
-	windows    int
 	violA      int
 	violM      int
-	alarmed    bool
-	alarms     []Alarm
 	windowHook func(WindowStat)
 }
 
@@ -49,30 +38,12 @@ func WithSDSBWindowHook(hook func(WindowStat)) SDSBOption {
 // NewSDSB returns an SDS/B detector for an application with the given
 // Stage-1 profile.
 func NewSDSB(prof Profile, cfg Config, opts ...SDSBOption) (*SDSB, error) {
-	if err := cfg.Validate(); err != nil {
+	fe, err := newFrontEnd(cfg)
+	if err != nil {
 		return nil, err
 	}
-	if prof.StdAccess < 0 || prof.StdMiss < 0 {
-		return nil, fmt.Errorf("detect: profile for %q has negative σ", prof.App)
-	}
-	d := &SDSB{cfg: cfg, prof: prof}
-	var err error
-	if d.loA, d.hiA, err = prof.Bounds(MetricAccess, cfg.K); err != nil {
-		return nil, err
-	}
-	if d.loM, d.hiM, err = prof.Bounds(MetricMiss, cfg.K); err != nil {
-		return nil, err
-	}
-	if d.maA, err = timeseries.NewMovingAverager(cfg.W, cfg.DW); err != nil {
-		return nil, err
-	}
-	if d.maM, err = timeseries.NewMovingAverager(cfg.W, cfg.DW); err != nil {
-		return nil, err
-	}
-	if d.ewA, err = timeseries.NewEWMA(cfg.Alpha); err != nil {
-		return nil, err
-	}
-	if d.ewM, err = timeseries.NewEWMA(cfg.Alpha); err != nil {
+	d, err := newSDSB(prof, cfg, fe)
+	if err != nil {
 		return nil, err
 	}
 	for _, o := range opts {
@@ -81,73 +52,49 @@ func NewSDSB(prof Profile, cfg Config, opts ...SDSBOption) (*SDSB, error) {
 	return d, nil
 }
 
-// Name implements Detector.
-func (d *SDSB) Name() string { return "SDS/B" }
+// newSDSB builds the SDS/B rule over an existing front end.
+func newSDSB(prof Profile, cfg Config, fe frontEnd) (*SDSB, error) {
+	if err := checkSigma(prof); err != nil {
+		return nil, err
+	}
+	d := &SDSB{hc: cfg.HC, prof: prof}
+	var err error
+	if d.loA, d.hiA, err = prof.Bounds(MetricAccess, cfg.K); err != nil {
+		return nil, err
+	}
+	if d.loM, d.hiM, err = prof.Bounds(MetricMiss, cfg.K); err != nil {
+		return nil, err
+	}
+	d.bind(NameSDSB, fe, d)
+	return d, nil
+}
 
 // Profile returns the profile the detector was built with.
 func (d *SDSB) Profile() Profile { return d.prof }
 
-// Observe implements Detector.
-func (d *SDSB) Observe(s pcm.Sample) {
-	mA, okA := d.maA.Push(s.Access)
-	mM, okM := d.maM.Push(s.Miss)
-	if !okA && !okM {
-		return
-	}
-	// Both averagers share the same geometry, so they emit together.
-	d.ObserveMA(s.T, mA, mM)
-}
-
-// ObserveMA feeds one window-level observation — the moving averages M_n of
-// the two counters at virtual time t — directly into the post-MA pipeline
-// (EWMA, boundary check, violation streak). It is the batch-observation
-// entry point of the event-driven cloud simulator, which generates telemetry
-// in closed-form ΔW-sample blocks instead of raw samples. Feed a detector
-// through either Observe or ObserveMA, never both.
-func (d *SDSB) ObserveMA(t float64, mA, mM float64) {
-	eA := d.ewA.Push(mA)
-	eM := d.ewM.Push(mM)
-	d.windows++
-
+// decide tracks condition C_n (Eq. 3) per counter.
+func (d *SDSB) decide(w *window) bool {
 	if d.windowHook != nil {
 		d.windowHook(WindowStat{
-			Index:      d.windows - 1,
-			T:          t,
-			MAAccess:   mA,
-			MAMiss:     mM,
-			EWMAAccess: eA,
-			EWMAMiss:   eM,
+			Index:      w.n,
+			T:          w.t,
+			MAAccess:   w.mA,
+			MAMiss:     w.mM,
+			EWMAAccess: w.eA,
+			EWMAMiss:   w.eM,
 		})
 	}
-
-	// Condition C_n (Eq. 3), tracked per counter.
-	d.violA = nextViolationCount(d.violA, eA < d.loA || eA > d.hiA)
-	d.violM = nextViolationCount(d.violM, eM < d.loM || eM > d.hiM)
-
-	nowAlarmed := d.violA >= d.cfg.HC || d.violM >= d.cfg.HC
-	if nowAlarmed && !d.alarmed {
-		metric, reason := MetricAccess, violationReason("AccessNum", eA, d.loA, d.hiA)
-		if d.violM >= d.cfg.HC {
-			metric, reason = MetricMiss, violationReason("MissNum", eM, d.loM, d.hiM)
-		}
-		d.alarms = append(d.alarms, Alarm{
-			T:        t,
-			Detector: d.Name(),
-			Metric:   metric,
-			Reason:   reason,
-		})
-	}
-	d.alarmed = nowAlarmed
+	d.violA = nextViolationCount(d.violA, w.eA < d.loA || w.eA > d.hiA)
+	d.violM = nextViolationCount(d.violM, w.eM < d.loM || w.eM > d.hiM)
+	return d.violA >= d.hc || d.violM >= d.hc
 }
 
-// Alarmed implements Detector.
-func (d *SDSB) Alarmed() bool { return d.alarmed }
-
-// AlarmCount implements AlarmCounter.
-func (d *SDSB) AlarmCount() int { return len(d.alarms) }
-
-// Alarms implements Detector.
-func (d *SDSB) Alarms() []Alarm { return cloneAlarms(d.alarms) }
+func (d *SDSB) evidence(w *window) (Metric, string) {
+	if d.violM >= d.hc {
+		return MetricMiss, violationReason("MissNum", w.eM, d.loM, d.hiM)
+	}
+	return MetricAccess, violationReason("AccessNum", w.eA, d.loA, d.hiA)
+}
 
 // Violations returns the current consecutive-violation counts for the two
 // counters (diagnostics and tests).

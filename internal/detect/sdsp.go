@@ -3,27 +3,25 @@ package detect
 import (
 	"fmt"
 
-	"github.com/memdos/sds/internal/pcm"
 	"github.com/memdos/sds/internal/signal"
-	"github.com/memdos/sds/internal/timeseries"
 )
 
 // SDSP is the Period-based Statistical Detection Scheme for periodic
-// applications (paper §4.2.2). It maintains the moving-average series of
-// both cache counters, and every ΔW_P new MA values re-estimates the period
-// of the latest W_P values with the DFT–ACF method; H_P consecutive rounds
-// in which either counter's period deviates from the profiled normal period
-// by more than the tolerance (20%) — or has no detectable period at all —
-// raise the alarm.
+// applications (paper §4.2.2). Its rule keeps the latest W_P moving
+// averages of both cache counters, and every ΔW_P new values re-estimates
+// their period with the DFT–ACF method; H_P consecutive rounds in which
+// either counter's period deviates from the profiled normal period by more
+// than the tolerance (20%) — or has no detectable period at all — raise the
+// alarm.
 //
 // Both memory DoS attacks slow the victim's computation, so the period
 // stretches under bus locking and LLC cleansing alike (Observation 2); the
 // cleansing attack additionally disrupts the MissNum waveform directly.
 type SDSP struct {
+	pipeline
 	cfg  Config
 	prof Profile
 
-	maA, maM   *timeseries.MovingAverager
 	bufA, bufM []float64 // rings of the latest W_P MA values
 	wp         int
 	pos        int
@@ -39,9 +37,10 @@ type SDSP struct {
 
 	sinceEstimate int
 	devCount      int
-	alarmed       bool
-	alarms        []Alarm
-	estimateHook  func(PeriodStat)
+	// The latest round's estimates and verdicts, the evidence of an alarm.
+	estA, estM   signal.PeriodEstimate
+	devA, devM   bool
+	estimateHook func(PeriodStat)
 }
 
 var _ Detector = (*SDSP)(nil)
@@ -77,118 +76,100 @@ func WithSDSPEstimateHook(hook func(PeriodStat)) SDSPOption {
 // NewSDSP returns an SDS/P detector. The profile must be periodic: SDS/P is
 // only applicable to applications with repeating cache-access patterns.
 func NewSDSP(prof Profile, cfg Config, opts ...SDSPOption) (*SDSP, error) {
-	if err := cfg.Validate(); err != nil {
+	fe, err := newFrontEnd(cfg)
+	if err != nil {
 		return nil, err
 	}
-	if !prof.Periodic || prof.PeriodMA < 2 {
-		return nil, fmt.Errorf("detect: SDS/P requires a periodic profile, %q has none", prof.App)
-	}
-	d := &SDSP{
-		cfg:  cfg,
-		prof: prof,
-		wp:   cfg.WPFactor * prof.PeriodMA,
-	}
-	var err error
-	if d.maA, err = timeseries.NewMovingAverager(cfg.W, cfg.DW); err != nil {
+	d, err := newSDSP(prof, cfg, fe)
+	if err != nil {
 		return nil, err
 	}
-	if d.maM, err = timeseries.NewMovingAverager(cfg.W, cfg.DW); err != nil {
-		return nil, err
-	}
-	d.bufA = make([]float64, 0, d.wp)
-	d.bufM = make([]float64, 0, d.wp)
-	d.est = signal.NewPeriodEstimator()
-	d.winScratch = make([]float64, d.wp)
-	d.estOpts = periodOptions(cfg, prof.PeriodMA)
 	for _, o := range opts {
 		o.applySDSP(d)
 	}
 	return d, nil
 }
 
-// Name implements Detector.
-func (d *SDSP) Name() string { return "SDS/P" }
+// newSDSP builds the SDS/P rule over an existing front end.
+func newSDSP(prof Profile, cfg Config, fe frontEnd) (*SDSP, error) {
+	if !prof.Periodic || prof.PeriodMA < 2 {
+		return nil, fmt.Errorf("detect: SDS/P requires a periodic profile, %q has none", prof.App)
+	}
+	wp := cfg.WPFactor * prof.PeriodMA
+	d := &SDSP{
+		cfg:        cfg,
+		prof:       prof,
+		wp:         wp,
+		bufA:       make([]float64, 0, wp),
+		bufM:       make([]float64, 0, wp),
+		est:        signal.NewPeriodEstimator(),
+		winScratch: make([]float64, wp),
+		estOpts:    periodOptions(cfg, prof.PeriodMA),
+	}
+	d.bind(NameSDSP, fe, d)
+	return d, nil
+}
 
 // WP returns the period-estimation window size W_P in MA values.
 func (d *SDSP) WP() int { return d.wp }
 
-// Observe implements Detector.
-func (d *SDSP) Observe(s pcm.Sample) {
-	mA, okA := d.maA.Push(s.Access)
-	mM, _ := d.maM.Push(s.Miss)
-	if !okA {
-		// The two averagers share their geometry and emit together.
-		return
-	}
-	d.ObserveMA(s.T, mA, mM)
-}
-
-// ObserveMA feeds one window-level observation — the moving averages M_n of
-// the two counters at virtual time t — directly into the period-estimation
-// rings, bypassing the internal averagers. It is the batch-observation entry
-// point of the event-driven cloud simulator. Feed a detector through either
-// Observe or ObserveMA, never both.
-func (d *SDSP) ObserveMA(t float64, mA, mM float64) {
+// decide pushes the window's moving averages into the period-estimation
+// rings and re-estimates every ΔW_P windows.
+func (d *SDSP) decide(w *window) bool {
 	if !d.filled {
-		d.bufA = append(d.bufA, mA)
-		d.bufM = append(d.bufM, mM)
-		if len(d.bufA) < d.wp {
-			return
+		d.bufA = append(d.bufA, w.mA)
+		d.bufM = append(d.bufM, w.mM)
+		if d.filled = len(d.bufA) == d.wp; d.filled {
+			d.estimate(w.t) // first full window: estimate immediately
 		}
-		d.filled = true
-		// First full window: estimate immediately.
-		d.estimate(t)
-		return
+	} else {
+		d.bufA[d.pos] = w.mA
+		d.bufM[d.pos] = w.mM
+		if d.pos++; d.pos == d.wp {
+			d.pos = 0
+		}
+		if d.sinceEstimate++; d.sinceEstimate >= d.cfg.DWP {
+			d.estimate(w.t)
+		}
 	}
-	d.bufA[d.pos] = mA
-	d.bufM[d.pos] = mM
-	if d.pos++; d.pos == d.wp {
-		d.pos = 0
-	}
-	d.sinceEstimate++
-	if d.sinceEstimate >= d.cfg.DWP {
-		d.estimate(t)
-	}
+	return d.devCount >= d.cfg.HP
 }
 
 // estimate runs DFT–ACF on both counters' current windows and updates the
-// deviation count and alarm state.
+// deviation count.
 func (d *SDSP) estimate(t float64) {
 	d.sinceEstimate = 0
-	estA, devA := d.estimateMetric(t, MetricAccess, d.bufA)
-	estM, devM := d.estimateMetric(t, MetricMiss, d.bufM)
-
-	if devA || devM {
+	d.estA, d.devA = d.estimateMetric(t, MetricAccess, d.bufA)
+	d.estM, d.devM = d.estimateMetric(t, MetricMiss, d.bufM)
+	if d.devA || d.devM {
 		d.devCount++
 	} else {
 		d.devCount = 0
 	}
-	nowAlarmed := d.devCount >= d.cfg.HP
-	if nowAlarmed && !d.alarmed {
-		metric, est := MetricAccess, estA
-		if devM && !devA {
-			metric, est = MetricMiss, estM
-		}
-		reason := fmt.Sprintf("%s period %d deviates >%.0f%% from normal period %d for %d consecutive estimates",
-			metric, est.Period, d.cfg.PeriodTolerance*100, d.prof.PeriodMA, d.devCount)
-		if est.Period == 0 {
-			reason = fmt.Sprintf("%s has no detectable period (normal period %d) for %d consecutive estimates",
-				metric, d.prof.PeriodMA, d.devCount)
-		}
-		d.alarms = append(d.alarms, Alarm{T: t, Detector: d.Name(), Metric: MetricPeriod, Reason: reason})
+}
+
+func (d *SDSP) evidence(*window) (Metric, string) {
+	metric, est := MetricAccess, d.estA
+	if d.devM && !d.devA {
+		metric, est = MetricMiss, d.estM
 	}
-	d.alarmed = nowAlarmed
+	if est.Period == 0 {
+		return MetricPeriod, fmt.Sprintf("%s has no detectable period (normal period %d) for %d consecutive estimates",
+			metric, d.prof.PeriodMA, d.devCount)
+	}
+	return MetricPeriod, fmt.Sprintf("%s period %d deviates >%.0f%% from normal period %d for %d consecutive estimates",
+		metric, est.Period, d.cfg.PeriodTolerance*100, d.prof.PeriodMA, d.devCount)
 }
 
 // estimateMetric analyses one counter's window, fires the hook, and reports
 // the estimate and whether it counts as a deviation.
 func (d *SDSP) estimateMetric(t float64, metric Metric, ring []float64) (signal.PeriodEstimate, bool) {
 	// Linearize the ring into the reusable scratch window (oldest first).
-	window := d.winScratch
-	copy(window, ring[d.pos:])
-	copy(window[d.wp-d.pos:], ring[:d.pos])
+	win := d.winScratch
+	copy(win, ring[d.pos:])
+	copy(win[d.wp-d.pos:], ring[:d.pos])
 
-	est, found := d.est.Estimate(window, d.estOpts)
+	est, found := d.est.Estimate(win, d.estOpts)
 	deviant := !found
 	if found {
 		diff := relDiff(float64(est.Period), float64(d.prof.PeriodMA))
@@ -199,15 +180,6 @@ func (d *SDSP) estimateMetric(t float64, metric Metric, ring []float64) (signal.
 	}
 	return est, deviant
 }
-
-// Alarmed implements Detector.
-func (d *SDSP) Alarmed() bool { return d.alarmed }
-
-// AlarmCount implements AlarmCounter.
-func (d *SDSP) AlarmCount() int { return len(d.alarms) }
-
-// Alarms implements Detector.
-func (d *SDSP) Alarms() []Alarm { return cloneAlarms(d.alarms) }
 
 // Deviations returns the current consecutive-deviation count (diagnostics).
 func (d *SDSP) Deviations() int { return d.devCount }

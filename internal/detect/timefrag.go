@@ -1,11 +1,6 @@
 package detect
 
-import (
-	"fmt"
-
-	"github.com/memdos/sds/internal/pcm"
-	"github.com/memdos/sds/internal/timeseries"
-)
+import "fmt"
 
 // TimeFrag default knobs (Config.FragWindow/FragFrac zero values resolve to
 // these: a 60-window evaluation span — 30 s at Table 1 geometry — and a
@@ -30,24 +25,17 @@ const (
 // threshold is crossed anyway. The price is a slower de-alarm (violations
 // age out of the window instead of a streak resetting instantly).
 type TimeFrag struct {
-	cfg  Config
+	pipeline
 	prof Profile
 
 	loA, hiA float64
 	loM, hiM float64
 
-	maA, maM *timeseries.MovingAverager
-	ewA, ewM *timeseries.EWMA
-
-	ring    []bool // suspicion verdicts of the last len(ring) windows
-	pos     int
-	filled  int
-	count   int // suspicious windows currently inside the ring
-	need    int // alarm threshold ⌈FragFrac·FragWindow⌉
-	windows int
-
-	alarmed bool
-	alarms  []Alarm
+	ring   []bool // suspicion verdicts of the last len(ring) windows
+	pos    int
+	filled int
+	count  int // suspicious windows currently inside the ring
+	need   int // alarm threshold ⌈FragFrac·FragWindow⌉
 }
 
 var _ Detector = (*TimeFrag)(nil)
@@ -57,11 +45,12 @@ var _ AlarmCounter = (*TimeFrag)(nil)
 // NewTimeFrag returns a TimeFrag detector for an application with the given
 // Stage-1 profile.
 func NewTimeFrag(prof Profile, cfg Config) (*TimeFrag, error) {
-	if err := cfg.Validate(); err != nil {
+	fe, err := newFrontEnd(cfg)
+	if err != nil {
 		return nil, err
 	}
-	if prof.StdAccess < 0 || prof.StdMiss < 0 {
-		return nil, fmt.Errorf("detect: profile for %q has negative σ", prof.App)
+	if err := checkSigma(prof); err != nil {
+		return nil, err
 	}
 	window := cfg.FragWindow
 	if window == 0 {
@@ -79,35 +68,19 @@ func NewTimeFrag(prof Profile, cfg Config) (*TimeFrag, error) {
 		need = window
 	}
 	d := &TimeFrag{
-		cfg:  cfg,
 		prof: prof,
 		ring: make([]bool, window),
 		need: need,
 	}
-	var err error
 	if d.loA, d.hiA, err = prof.Bounds(MetricAccess, cfg.K); err != nil {
 		return nil, err
 	}
 	if d.loM, d.hiM, err = prof.Bounds(MetricMiss, cfg.K); err != nil {
 		return nil, err
 	}
-	if d.maA, err = timeseries.NewMovingAverager(cfg.W, cfg.DW); err != nil {
-		return nil, err
-	}
-	if d.maM, err = timeseries.NewMovingAverager(cfg.W, cfg.DW); err != nil {
-		return nil, err
-	}
-	if d.ewA, err = timeseries.NewEWMA(cfg.Alpha); err != nil {
-		return nil, err
-	}
-	if d.ewM, err = timeseries.NewEWMA(cfg.Alpha); err != nil {
-		return nil, err
-	}
+	d.bind(NameTimeFrag, fe, d)
 	return d, nil
 }
-
-// Name implements Detector.
-func (d *TimeFrag) Name() string { return "TimeFrag" }
 
 // Profile returns the profile the detector was built with.
 func (d *TimeFrag) Profile() Profile { return d.prof }
@@ -117,26 +90,10 @@ func (d *TimeFrag) Profile() Profile { return d.prof }
 func (d *TimeFrag) Window() int { return len(d.ring) }
 func (d *TimeFrag) Need() int   { return d.need }
 
-// Observe implements Detector.
-func (d *TimeFrag) Observe(s pcm.Sample) {
-	mA, okA := d.maA.Push(s.Access)
-	mM, okM := d.maM.Push(s.Miss)
-	if !okA && !okM {
-		return
-	}
-	// Both averagers share the same geometry, so they emit together.
-	d.ObserveMA(s.T, mA, mM)
-}
-
-// ObserveMA feeds one window-level observation — the moving averages M_n of
-// the two counters at virtual time t — directly into the post-MA pipeline.
-// Feed a detector through either Observe or ObserveMA, never both.
-func (d *TimeFrag) ObserveMA(t float64, mA, mM float64) {
-	eA := d.ewA.Push(mA)
-	eM := d.ewM.Push(mM)
-	d.windows++
-
-	suspicious := eA < d.loA || eA > d.hiA || eM < d.loM || eM > d.hiM
+// decide records whether the window is suspicious — S_n out of range on
+// either counter — and compares the ring's count with the threshold.
+func (d *TimeFrag) decide(w *window) bool {
+	suspicious := w.eA < d.loA || w.eA > d.hiA || w.eM < d.loM || w.eM > d.hiM
 	if d.filled == len(d.ring) {
 		// Ring full: the verdict aging out leaves the count first.
 		if d.ring[d.pos] {
@@ -152,33 +109,18 @@ func (d *TimeFrag) ObserveMA(t float64, mA, mM float64) {
 	if d.pos++; d.pos == len(d.ring) {
 		d.pos = 0
 	}
+	return d.count >= d.need
+}
 
-	nowAlarmed := d.count >= d.need
-	if nowAlarmed && !d.alarmed {
-		metric := MetricAccess
-		if eM < d.loM || eM > d.hiM {
-			metric = MetricMiss
-		}
-		d.alarms = append(d.alarms, Alarm{
-			T:        t,
-			Detector: d.Name(),
-			Metric:   metric,
-			Reason: fmt.Sprintf("%d of last %d MA windows suspicious (threshold %d): fragmented out-of-range activity",
-				d.count, len(d.ring), d.need),
-		})
+func (d *TimeFrag) evidence(w *window) (Metric, string) {
+	metric := MetricAccess
+	if w.eM < d.loM || w.eM > d.hiM {
+		metric = MetricMiss
 	}
-	d.alarmed = nowAlarmed
+	return metric, fmt.Sprintf("%d of last %d MA windows suspicious (threshold %d): fragmented out-of-range activity",
+		d.count, len(d.ring), d.need)
 }
 
 // Suspicious returns the number of suspicious windows currently inside the
 // evaluation span (diagnostics and tests).
 func (d *TimeFrag) Suspicious() int { return d.count }
-
-// Alarmed implements Detector.
-func (d *TimeFrag) Alarmed() bool { return d.alarmed }
-
-// AlarmCount implements AlarmCounter.
-func (d *TimeFrag) AlarmCount() int { return len(d.alarms) }
-
-// Alarms implements Detector.
-func (d *TimeFrag) Alarms() []Alarm { return cloneAlarms(d.alarms) }

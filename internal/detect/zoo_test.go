@@ -203,80 +203,50 @@ func TestEWMAVarQuietOnStationaryTraffic(t *testing.T) {
 }
 
 // TestAlarmsNoAliasing pins the Alarms() contract for every registered
-// scheme: the returned slice is the caller's to keep, so mutating it — or
-// alarms firing afterwards — must not corrupt either side. The test writes
-// through the returned slice and checks the detector's next snapshot is
-// unaffected (a detector returning its internal slice fails immediately).
+// scheme and the Reprofiler: the returned slice is the caller's to keep, so
+// mutating it — or alarms firing afterwards — must not corrupt either side.
+// The test writes through the returned slice and checks the detector's next
+// snapshot is unaffected (a detector returning its internal slice fails
+// immediately).
 func TestAlarmsNoAliasing(t *testing.T) {
 	prof := steadyProfile(t, workload.FaceNet, 99)
 	cfg := DefaultConfig()
 	injected := Alarm{T: 1, Detector: "test", Metric: MetricAccess, Reason: "original"}
 
-	cases := []struct {
-		scheme string
-		build  func(t *testing.T) (Detector, *[]Alarm)
-	}{
-		{"SDS/B", func(t *testing.T) (Detector, *[]Alarm) {
-			d, err := NewSDSB(prof, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return d, &d.alarms
-		}},
-		{"SDS/P", func(t *testing.T) (Detector, *[]Alarm) {
-			d, err := NewSDSP(prof, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return d, &d.alarms
-		}},
-		{"SDS", func(t *testing.T) (Detector, *[]Alarm) {
-			d, err := NewSDS(prof, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return d, &d.alarms
-		}},
-		{"KStest", func(t *testing.T) (Detector, *[]Alarm) {
-			d, err := NewKSTest(DefaultKSTestConfig(), nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return d, &d.alarms
-		}},
-		{"CUSUM", func(t *testing.T) (Detector, *[]Alarm) {
-			d, err := NewCUSUM(prof, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return d, &d.alarms
-		}},
-		{"TimeFrag", func(t *testing.T) (Detector, *[]Alarm) {
-			d, err := NewTimeFrag(prof, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return d, &d.alarms
-		}},
-		{"EWMAVar", func(t *testing.T) (Detector, *[]Alarm) {
-			d, err := NewEWMAVar(prof, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return d, &d.alarms
-		}},
-		{"Reprofiler", func(t *testing.T) (Detector, *[]Alarm) {
-			r, err := NewReprofiler(workload.FaceNet, prof, cfg, 600)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Inject into the retired-generation history: the concatenated
-			// view must still be aliasing-safe.
-			return r, &r.history
-		}},
+	// ledgerOf reaches the one alarm ledger every scheme embeds.
+	ledgerOf := func(t *testing.T, d Detector) *[]Alarm {
+		t.Helper()
+		l, ok := d.(interface{ ledgerRef() *ledger })
+		if !ok {
+			t.Fatalf("%T has no alarm ledger", d)
+		}
+		return &l.ledgerRef().alarms
 	}
+	type testCase struct {
+		name  string
+		build func(t *testing.T) (Detector, *[]Alarm)
+	}
+	var cases []testCase
+	for _, s := range Schemes() {
+		cases = append(cases, testCase{s.Name, func(t *testing.T) (Detector, *[]Alarm) {
+			d, err := s.New(Params{Profile: prof, Config: cfg, KSTest: DefaultKSTestConfig()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return d, ledgerOf(t, d)
+		}})
+	}
+	cases = append(cases, testCase{"Reprofiler", func(t *testing.T) (Detector, *[]Alarm) {
+		r, err := NewReprofiler(workload.FaceNet, prof, cfg, 600)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Inject into the retired-generation history: the concatenated
+		// view must still be aliasing-safe.
+		return r, &r.history
+	}})
 	for _, tc := range cases {
-		t.Run(tc.scheme, func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
 			d, internal := tc.build(t)
 			*internal = append(*internal, injected)
 
@@ -288,12 +258,15 @@ func TestAlarmsNoAliasing(t *testing.T) {
 			_ = append(got, Alarm{Reason: "appended by caller"})
 
 			if (*internal)[0].Reason != "original" {
-				t.Fatalf("%s: caller mutation reached the internal slice", tc.scheme)
+				t.Fatalf("%s: caller mutation reached the internal slice", tc.name)
 			}
 			again := d.Alarms()
 			if len(again) != 1 || again[0].Reason != "original" {
-				t.Fatalf("%s: second snapshot corrupted: %+v", tc.scheme, again)
+				t.Fatalf("%s: second snapshot corrupted: %+v", tc.name, again)
 			}
 		})
 	}
 }
+
+// ledgerRef exposes the embedded ledger to TestAlarmsNoAliasing.
+func (l *ledger) ledgerRef() *ledger { return l }

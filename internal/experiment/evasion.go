@@ -143,8 +143,8 @@ func minFPRIndex(points []ROCPoint) int {
 // strategy attacks each scheme across both vectors and the peak grid, with
 // margins pooled over apps × runs. All cells fan out onto the parallel
 // engine and are pooled in input order, so the result is bit-identical at
-// every Config.Parallel setting. Schemes marked periodic-only (SDS/P) are
-// scored on the periodic applications.
+// every Config.Parallel setting. Schemes that require a periodic profile
+// (SDS/P) are scored on the periodic applications.
 func (c Config) Evasion(apps []string) ([]EvasionCurve, error) {
 	curves, err := c.ROC(apps)
 	if err != nil {
@@ -181,7 +181,7 @@ func (c Config) Evasion(apps []string) ([]EvasionCurve, error) {
 		if err := s.apply(&cfg, point.Threshold); err != nil {
 			return nil, fmt.Errorf("%s %s=%v: %w", s.scheme, s.knob, point.Threshold, err)
 		}
-		schemeApps, err := rocApps(apps, s.periodicOnly)
+		schemeApps, err := rocApps(apps, s.scheme)
 		if err != nil {
 			return nil, err
 		}

@@ -20,16 +20,17 @@ import (
 type Scheme string
 
 // The schemes of the paper's evaluation (§5.1), plus the detector-zoo
-// baselines fielded for the ROC tournament.
+// baselines fielded for the ROC tournament: the canonical names of the
+// detect registry.
 const (
-	SchemeSDS      Scheme = "SDS"      // combined system
-	SchemeSDSB     Scheme = "SDS/B"    // boundary-based alone
-	SchemeSDSP     Scheme = "SDS/P"    // period-based alone (periodic apps only)
-	SchemeKSTest   Scheme = "KStest"   // baseline of Zhang et al.
-	SchemeCUSUM    Scheme = "CUSUM"    // two-sided change-point over EWMA counters
-	SchemeTimeFrag Scheme = "TimeFrag" // fragmentation-tolerant windowed density
-	SchemeEWMAVar  Scheme = "EWMAVar"  // EWMA-of-variance baseline
-	SchemeNone     Scheme = "none"     // no detection (overhead baseline)
+	SchemeSDS      Scheme = detect.NameSDS      // combined system
+	SchemeSDSB     Scheme = detect.NameSDSB     // boundary-based alone
+	SchemeSDSP     Scheme = detect.NameSDSP     // period-based alone (periodic apps only)
+	SchemeKSTest   Scheme = detect.NameKSTest   // baseline of Zhang et al.
+	SchemeCUSUM    Scheme = detect.NameCUSUM    // two-sided change-point over EWMA counters
+	SchemeTimeFrag Scheme = detect.NameTimeFrag // fragmentation-tolerant windowed density
+	SchemeEWMAVar  Scheme = detect.NameEWMAVar  // EWMA-of-variance baseline
+	SchemeNone     Scheme = "none"              // no detection (overhead baseline)
 )
 
 // Config parameterizes the evaluation harness. Construct with
@@ -102,17 +103,19 @@ func (c Config) Validate() error {
 	return c.KSTest.Validate()
 }
 
-// SchemesFor returns the schemes evaluated for an application: the paper's
-// set — SDS and KStest everywhere, plus standalone SDS/B and SDS/P for the
-// periodic applications (PCA, FaceNet) — extended with the detector-zoo
-// baselines (CUSUM, TimeFrag, EWMAVar), which apply to every application.
+// SchemesFor returns the schemes evaluated for an application, in registry
+// order: every registered scheme for the periodic applications (PCA,
+// FaceNet). An aperiodic application skips the schemes that need a period
+// and standalone SDS/B, which SDS already is for it.
 func SchemesFor(app string) []Scheme {
-	prof := workload.MustAppProfile(app)
-	if prof.Periodic {
-		return []Scheme{SchemeSDS, SchemeSDSB, SchemeSDSP, SchemeKSTest,
-			SchemeCUSUM, SchemeTimeFrag, SchemeEWMAVar}
+	periodic := workload.MustAppProfile(app).Periodic
+	var out []Scheme
+	for _, s := range detect.Schemes() {
+		if periodic || !(s.Periodic || s.Name == detect.NameSDSB) {
+			out = append(out, Scheme(s.Name))
+		}
 	}
-	return []Scheme{SchemeSDS, SchemeKSTest, SchemeCUSUM, SchemeTimeFrag, SchemeEWMAVar}
+	return out
 }
 
 // ThrottleState adapts the KStest throttling callbacks to the telemetry
@@ -144,35 +147,18 @@ func (c Config) buildProfile(app string, seed uint64) (detect.Profile, error) {
 	return detect.BuildProfile(app, samples, c.Detect)
 }
 
-// newDetector constructs the scheme's detector from a Stage-1 profile. The
-// returned ThrottleState is non-nil only for KStest.
+// newDetector constructs the scheme's detector from a Stage-1 profile,
+// resolving the scheme through the detect registry. The returned
+// ThrottleState is the detector's throttling hook; it stays false for
+// throttle-free schemes.
 func (c Config) newDetector(scheme Scheme, prof detect.Profile) (detect.Detector, *ThrottleState, error) {
-	switch scheme {
-	case SchemeSDS:
-		d, err := detect.NewSDS(prof, c.Detect)
-		return d, nil, err
-	case SchemeSDSB:
-		d, err := detect.NewSDSB(prof, c.Detect)
-		return d, nil, err
-	case SchemeSDSP:
-		d, err := detect.NewSDSP(prof, c.Detect)
-		return d, nil, err
-	case SchemeKSTest:
-		flag := &ThrottleState{}
-		d, err := detect.NewKSTest(c.KSTest, flag)
-		return d, flag, err
-	case SchemeCUSUM:
-		d, err := detect.NewCUSUM(prof, c.Detect)
-		return d, nil, err
-	case SchemeTimeFrag:
-		d, err := detect.NewTimeFrag(prof, c.Detect)
-		return d, nil, err
-	case SchemeEWMAVar:
-		d, err := detect.NewEWMAVar(prof, c.Detect)
-		return d, nil, err
-	default:
-		return nil, nil, fmt.Errorf("experiment: unknown scheme %q", scheme)
+	s, ok := detect.LookupScheme(string(scheme))
+	if !ok {
+		return nil, nil, fmt.Errorf("experiment: unknown scheme %q (want one of %s)", scheme, detect.SchemeNames(false))
 	}
+	flag := &ThrottleState{}
+	d, err := s.New(detect.Params{Profile: prof, Config: c.Detect, KSTest: c.KSTest, Throttler: flag})
+	return d, flag, err
 }
 
 // BuildDetector runs Stage-1 profiling for the app and constructs the
@@ -190,9 +176,6 @@ func (c Config) BuildDetector(app string, scheme Scheme, seed uint64) (detect.Pr
 	det, flag, err := c.newDetector(scheme, prof)
 	if err != nil {
 		return detect.Profile{}, nil, nil, fmt.Errorf("build %s for %s: %w", scheme, app, err)
-	}
-	if flag == nil {
-		flag = &ThrottleState{}
 	}
 	return prof, det, flag, nil
 }
@@ -224,9 +207,6 @@ func (c Config) detectionRun(app string, kind attack.Kind, scheme Scheme, run in
 	det, flag, err := c.newDetector(scheme, prof)
 	if err != nil {
 		return metrics.Outcome{}, fmt.Errorf("build %s for %s: %w", scheme, app, err)
-	}
-	if flag == nil {
-		flag = &ThrottleState{} // stays false for throttle-free schemes
 	}
 
 	runRng := randx.DeriveString(seed, app+"/run")

@@ -1,10 +1,12 @@
 package experiment
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"github.com/memdos/sds/internal/attack"
+	"github.com/memdos/sds/internal/detect"
 	"github.com/memdos/sds/internal/randx"
 	"github.com/memdos/sds/internal/workload"
 )
@@ -42,12 +44,34 @@ func TestConfigValidate(t *testing.T) {
 
 func TestSchemesFor(t *testing.T) {
 	// Non-periodic apps: the paper pair (SDS, KStest) plus the detector zoo.
-	if got := SchemesFor(workload.KMeans); len(got) != 5 {
-		t.Fatalf("non-periodic schemes = %v", got)
+	want := []Scheme{SchemeSDS, SchemeKSTest, SchemeCUSUM, SchemeTimeFrag, SchemeEWMAVar}
+	if got := SchemesFor(workload.KMeans); !reflect.DeepEqual(got, want) {
+		t.Fatalf("non-periodic schemes = %v, want %v", got, want)
 	}
 	// Periodic apps additionally run the SDS/B and SDS/P components.
-	if got := SchemesFor(workload.FaceNet); len(got) != 7 {
-		t.Fatalf("periodic schemes = %v", got)
+	want = []Scheme{SchemeSDS, SchemeSDSB, SchemeSDSP, SchemeKSTest, SchemeCUSUM, SchemeTimeFrag, SchemeEWMAVar}
+	if got := SchemesFor(workload.FaceNet); !reflect.DeepEqual(got, want) {
+		t.Fatalf("periodic schemes = %v, want %v", got, want)
+	}
+}
+
+// TestBuildDetectorResolvesRegistry: BuildDetector accepts every canonical
+// name and wire alias of the detect registry and rejects anything else.
+func TestBuildDetectorResolvesRegistry(t *testing.T) {
+	c := fastConfig()
+	for _, s := range detect.Schemes() {
+		for _, name := range []string{s.Name, s.Alias} {
+			_, det, flag, err := c.BuildDetector(workload.FaceNet, Scheme(name), 1)
+			if err != nil {
+				t.Fatalf("scheme %q rejected: %v", name, err)
+			}
+			if det.Name() != s.Name || flag == nil {
+				t.Fatalf("scheme %q built %q (throttle state %v)", name, det.Name(), flag)
+			}
+		}
+	}
+	if _, _, _, err := c.BuildDetector(workload.FaceNet, "SDS/X", 1); err == nil {
+		t.Fatal("unknown scheme accepted")
 	}
 }
 

@@ -66,11 +66,10 @@ func (c ROCCurve) OperatingPoint() (ROCPoint, bool) {
 
 // rocScheme couples a scheme with its swept knob.
 type rocScheme struct {
-	scheme       Scheme
-	knob         string
-	grid         []float64
-	apply        func(*Config, float64) error
-	periodicOnly bool
+	scheme Scheme
+	knob   string
+	grid   []float64
+	apply  func(*Config, float64) error
 }
 
 // rocKGrid spans the boundary factor k from nearly-everything-violates to
@@ -93,7 +92,7 @@ func applyBoundaryK(cfg *Config, v float64) error {
 func rocSchemes() []rocScheme {
 	return []rocScheme{
 		{scheme: SchemeSDSB, knob: "k", grid: rocKGrid, apply: applyBoundaryK},
-		{scheme: SchemeSDSP, knob: "H_P", grid: []float64{1, 2, 3, 5, 8, 12}, periodicOnly: true,
+		{scheme: SchemeSDSP, knob: "H_P", grid: []float64{1, 2, 3, 5, 8, 12},
 			apply: func(cfg *Config, v float64) error {
 				cfg.Detect.HP = int(v)
 				return nil
@@ -133,8 +132,8 @@ var rocAttackKinds = []attack.Kind{attack.BusLock, attack.Cleanse, attack.None}
 // ROC runs the tournament over the given applications. All (scheme,
 // threshold, app, kind, run) cells fan out onto the parallel engine
 // together and are pooled in input order, so the result is bit-identical
-// at every Config.Parallel setting. Schemes marked periodic-only (SDS/P)
-// are evaluated on the periodic applications; if none of the given apps is
+// at every Config.Parallel setting. Schemes that require a periodic
+// profile (SDS/P) are evaluated on the periodic applications; if none of the given apps is
 // periodic, their curve is omitted.
 func (c Config) ROC(apps []string) ([]ROCCurve, error) {
 	if err := c.Validate(); err != nil {
@@ -157,7 +156,7 @@ func (c Config) ROC(apps []string) ([]ROCCurve, error) {
 	var jobs []job
 	cfgs := make([][]Config, len(schemes))
 	for si, s := range schemes {
-		schemeApps, err := rocApps(apps, s.periodicOnly)
+		schemeApps, err := rocApps(apps, s.scheme)
 		if err != nil {
 			return nil, err
 		}
@@ -243,16 +242,18 @@ func (c Config) ROC(apps []string) ([]ROCCurve, error) {
 	return curves, nil
 }
 
-// rocApps filters the app list for a scheme, validating names as a side
-// effect.
-func rocApps(apps []string, periodicOnly bool) ([]string, error) {
+// rocApps filters the app list for a scheme — dropping aperiodic apps when
+// the registry says the scheme requires a periodic profile — validating
+// names as a side effect.
+func rocApps(apps []string, scheme Scheme) ([]string, error) {
+	entry, _ := detect.LookupScheme(string(scheme))
 	var out []string
 	for _, app := range apps {
 		prof, err := workload.AppProfile(app)
 		if err != nil {
 			return nil, err
 		}
-		if periodicOnly && !prof.Periodic {
+		if entry.Periodic && !prof.Periodic {
 			continue
 		}
 		out = append(out, app)

@@ -22,9 +22,10 @@ import (
 
 // Handshake is the first line every stream connection must send:
 //
-//	sds/1 vm=<id> [app=<name>] [scheme=<sds|sdsb|sdsp|kstest|cusum|timefrag|ewmavar>] [profile=<seconds>] [frames=<csv|bin>]
+//	sds/1 vm=<id> [app=<name>] [scheme=<alias>] [profile=<seconds>] [frames=<csv|bin>]
 //
-// followed by the telemetry stream in the negotiated encoding: feed CSV
+// where <alias> is a scheme's wire alias from the detect registry
+// (detect.Schemes), followed by the telemetry stream in the negotiated encoding: feed CSV
 // (`t,access,miss` lines; header and '#' comments allowed — the default)
 // or, with `frames=bin`, the compact binary frame format of
 // feed.BinReader (batched 24-byte little-endian sample records; see

@@ -31,8 +31,9 @@ type StreamSpec struct {
 	VM string
 	// App names the profiled application.
 	App string
-	// Scheme selects the detector: sds, sdsb, sdsp, kstest, cusum,
-	// timefrag or ewmavar.
+	// Scheme selects the detector by its wire alias (sds, sdsb, …; see
+	// detect.Schemes). A canonical name is accepted and normalized to the
+	// alias.
 	Scheme string
 	// ProfileSeconds is the leading stream span used as the Stage-1
 	// profile; the VM must be known attack-free during it.
@@ -52,32 +53,32 @@ type StreamSpec struct {
 	KSOptions []detect.KSTestOption
 }
 
-// normalize fills defaults and validates.
-func (spec *StreamSpec) normalize() error {
+// normalize fills defaults, validates, and resolves the scheme.
+func (spec *StreamSpec) normalize() (detect.Scheme, error) {
 	if spec.App == "" {
 		spec.App = "monitored-vm"
 	}
 	if spec.Scheme == "" {
 		spec.Scheme = "sds"
 	}
-	switch spec.Scheme {
-	case "sds", "sdsb", "sdsp", "kstest", "cusum", "timefrag", "ewmavar":
-	default:
-		return fmt.Errorf("unknown scheme %q (want sds, sdsb, sdsp, kstest, cusum, timefrag or ewmavar)", spec.Scheme)
+	scheme, ok := detect.LookupScheme(spec.Scheme)
+	if !ok {
+		return scheme, fmt.Errorf("unknown scheme %q (want one of %s)", spec.Scheme, detect.SchemeNames(true))
 	}
+	spec.Scheme = scheme.Alias
 	if spec.ProfileSeconds <= 0 {
-		return fmt.Errorf("profile window must be positive, got %v", spec.ProfileSeconds)
+		return scheme, fmt.Errorf("profile window must be positive, got %v", spec.ProfileSeconds)
 	}
 	if spec.Config == (detect.Config{}) {
 		spec.Config = detect.DefaultConfig()
 	}
 	if err := spec.Config.Validate(); err != nil {
-		return err
+		return scheme, err
 	}
 	if spec.KSConfig == (detect.KSTestConfig{}) {
 		spec.KSConfig = detect.DefaultKSTestConfig()
 	}
-	return nil
+	return scheme, nil
 }
 
 // SessionStats is a point-in-time snapshot of one stream's state.
@@ -111,7 +112,8 @@ func (st SessionStats) Ingested() uint64 {
 // of the profile). All methods are safe for concurrent use, but samples
 // must be fed by a single goroutine in time order.
 type Session struct {
-	spec StreamSpec
+	spec   StreamSpec
+	scheme detect.Scheme
 
 	mu             sync.Mutex
 	profiling      bool
@@ -129,10 +131,11 @@ type Session struct {
 // NewSession validates the spec and returns a session in the profiling
 // stage.
 func NewSession(spec StreamSpec) (*Session, error) {
-	if err := spec.normalize(); err != nil {
+	scheme, err := spec.normalize()
+	if err != nil {
 		return nil, err
 	}
-	return &Session{spec: spec, profiling: true}, nil
+	return &Session{spec: spec, scheme: scheme, profiling: true}, nil
 }
 
 // Name returns the scheme name.
@@ -218,17 +221,22 @@ func (s *Session) finishProfileLocked() error {
 	if err != nil {
 		return err
 	}
-	det, err := newDetector(s.spec, prof)
+	det, err := s.scheme.New(detect.Params{
+		Profile:   prof,
+		Config:    s.spec.Config,
+		KSTest:    s.spec.KSConfig,
+		KSOptions: s.spec.KSOptions,
+	})
 	if err != nil {
 		return err
 	}
-	if ks, ok := det.(*detect.KSTest); ok {
+	if s.scheme.Throttled {
 		// Seed the baseline from the attack-free Stage-1 window. Without
 		// this the detector would collect its first reference from the
 		// monitored tail — a stream attacked right after profiling would
 		// teach KStest an under-attack baseline and it would never alarm.
 		for _, ps := range s.profileSamples {
-			ks.Observe(ps)
+			det.Observe(ps)
 		}
 	}
 	s.profile = prof
@@ -334,25 +342,3 @@ func (v detectorView) Name() string           { return v.s.Name() }
 func (v detectorView) Observe(smp pcm.Sample) { _ = v.s.Observe(smp) }
 func (v detectorView) Alarmed() bool          { return v.s.Alarmed() }
 func (v detectorView) Alarms() []detect.Alarm { return v.s.Alarms() }
-
-// newDetector constructs the configured scheme for a completed profile.
-func newDetector(spec StreamSpec, prof detect.Profile) (detect.Detector, error) {
-	switch spec.Scheme {
-	case "sds":
-		return detect.NewSDS(prof, spec.Config)
-	case "sdsb":
-		return detect.NewSDSB(prof, spec.Config)
-	case "sdsp":
-		return detect.NewSDSP(prof, spec.Config)
-	case "kstest":
-		return detect.NewKSTest(spec.KSConfig, nil, spec.KSOptions...)
-	case "cusum":
-		return detect.NewCUSUM(prof, spec.Config)
-	case "timefrag":
-		return detect.NewTimeFrag(prof, spec.Config)
-	case "ewmavar":
-		return detect.NewEWMAVar(prof, spec.Config)
-	default:
-		return nil, fmt.Errorf("unknown scheme %q (want sds, sdsb, sdsp, kstest, cusum, timefrag or ewmavar)", spec.Scheme)
-	}
-}

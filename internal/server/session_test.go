@@ -167,6 +167,22 @@ func TestSessionSpecValidation(t *testing.T) {
 	}
 }
 
+// TestSessionSchemesFromRegistry: a session accepts every canonical name
+// and wire alias of the detect registry and keeps the lowercase alias.
+func TestSessionSchemesFromRegistry(t *testing.T) {
+	for _, s := range detect.Schemes() {
+		for _, name := range []string{s.Name, s.Alias} {
+			sess, err := NewSession(StreamSpec{VM: "x", Scheme: name, ProfileSeconds: 30})
+			if err != nil {
+				t.Fatalf("scheme %q rejected: %v", name, err)
+			}
+			if got := sess.Name(); got != s.Alias {
+				t.Fatalf("scheme %q normalized to %q, want %q", name, got, s.Alias)
+			}
+		}
+	}
+}
+
 // TestSessionEOFDuringProfiling: a stream that ends inside Stage 1 is an
 // error at Close, with the fill level in the message.
 func TestSessionEOFDuringProfiling(t *testing.T) {
