@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet bench bench-all bench-scale bench-check cover cover-check chaos goldens verify repro smoke smoke-cloudsim smoke-evasion fuzz-smoke clean
+.PHONY: all build test race vet bench bench-all bench-scale bench-check cover cover-check chaos goldens verify repro smoke smoke-cloudsim smoke-evasion smoke-perfbench fuzz-smoke clean
 
 all: build vet test
 
@@ -122,6 +122,12 @@ smoke-cloudsim:
 # half of the golden fixtures' promise).
 smoke-evasion:
 	./scripts/smoke_evasion.sh
+
+# Run the repository benchmark, not just compile it: every perfbench
+# workload for one measured second, each required to report a checked run
+# with no failed operations.
+smoke-perfbench:
+	./scripts/smoke_perfbench.sh
 
 # Short fuzz pass over the feed parsers — CSV and the binary frame codec —
 # plus the evasive-schedule composition (Intensity/MeanIntensity must stay

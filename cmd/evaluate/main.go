@@ -107,7 +107,12 @@ func run(out io.Writer, opt options) error {
 	var apps []string
 	if opt.apps != "" {
 		for _, a := range strings.Split(opt.apps, ",") {
-			apps = append(apps, strings.TrimSpace(a))
+			if a = strings.TrimSpace(a); a != "" {
+				apps = append(apps, a)
+			}
+		}
+		if len(apps) == 0 {
+			return fmt.Errorf("evaluate: -apps %q names no application", opt.apps)
 		}
 	} else {
 		apps = workload.AppNames()

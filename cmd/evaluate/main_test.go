@@ -110,3 +110,42 @@ func TestEvasionJSONMatchesGolden(t *testing.T) {
 	}
 	golden.AssertString(t, "testdata/golden/evasion_small.json", got.String())
 }
+
+// TestRunSkipsEmptyAppEntries: a stray comma in -apps is not an
+// application name.
+func TestRunSkipsEmptyAppEntries(t *testing.T) {
+	for _, apps := range []string{"kmeans,", "kmeans,,pca", ",pca"} {
+		var got strings.Builder
+		if err := run(&got, options{fig12: true, runs: 1, seed: 1, apps: apps}); err != nil {
+			t.Fatalf("-apps %q: %v", apps, err)
+		}
+		for _, app := range strings.Split(apps, ",") {
+			if app != "" && !strings.Contains(got.String(), app) {
+				t.Fatalf("-apps %q: no rows for %s:\n%s", apps, app, got.String())
+			}
+		}
+	}
+}
+
+// TestRunRejectsBadGrids: an unknown application or a zero run count is an
+// error from every grid, not a panic or an empty table.
+func TestRunRejectsBadGrids(t *testing.T) {
+	cases := map[string]options{
+		"fig9 unknown app":  {fig9: true, runs: 1, seed: 1, apps: "bogus"},
+		"fig12 unknown app": {fig12: true, runs: 1, seed: 1, apps: "bogus"},
+		"roc unknown app":   {roc: true, runs: 1, seed: 1, apps: "bogus"},
+		"fig9 zero runs":    {fig9: true, runs: 0, seed: 1, apps: "kmeans"},
+	}
+	for name, opt := range cases {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("panicked: %v", r)
+				}
+			}()
+			if err := run(&strings.Builder{}, opt); err == nil {
+				t.Fatal("accepted")
+			}
+		})
+	}
+}

@@ -48,43 +48,77 @@ func (p Profile) Bounds(metric Metric, k float64) (lo, hi float64, err error) {
 // BuildProfile computes a Profile from attack-free PCM samples using the
 // pipeline of §4.1 (MA with window W and step ΔW, then EWMA with factor α).
 // It needs enough samples for a statistically useful number of MA windows.
+// It is the batch form of Profiler.
 func BuildProfile(app string, samples []pcm.Sample, cfg Config) (Profile, error) {
-	if err := cfg.Validate(); err != nil {
+	p, err := NewProfiler(app, cfg)
+	if err != nil {
 		return Profile{}, err
 	}
+	for _, s := range samples {
+		p.Observe(s)
+	}
+	return p.Profile()
+}
+
+// Profiler is Stage 1 as a stream: it folds each attack-free sample into
+// the MA series the profile is computed from, so profiling holds one value
+// per MA window instead of the whole sample window.
+type Profiler struct {
+	app      string
+	cfg      Config
+	a, m     *timeseries.MovingAverager
+	maA, maM []float64
+	n        int // samples observed
+}
+
+// NewProfiler starts profiling app under cfg.
+func NewProfiler(app string, cfg Config) (*Profiler, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	a, err := timeseries.NewMovingAverager(cfg.W, cfg.DW)
+	if err != nil {
+		return nil, err
+	}
+	m, err := timeseries.NewMovingAverager(cfg.W, cfg.DW)
+	if err != nil {
+		return nil, err
+	}
+	return &Profiler{app: app, cfg: cfg, a: a, m: m}, nil
+}
+
+// Observe folds in the next attack-free sample.
+func (p *Profiler) Observe(s pcm.Sample) {
+	p.n++
+	if v, ok := p.a.Push(s.Access); ok {
+		p.maA = append(p.maA, v)
+	}
+	if v, ok := p.m.Push(s.Miss); ok {
+		p.maM = append(p.maM, v)
+	}
+}
+
+// Profile computes the profile of the samples observed so far.
+func (p *Profiler) Profile() (Profile, error) {
+	cfg := p.cfg
 	const minWindows = 20
 	need := cfg.W + (minWindows-1)*cfg.DW
-	if len(samples) < need {
+	if p.n < need {
 		return Profile{}, fmt.Errorf("detect: profiling %q needs at least %d samples (%d MA windows), got %d",
-			app, need, minWindows, len(samples))
+			p.app, need, minWindows, p.n)
 	}
-
-	rawA := make([]float64, len(samples))
-	rawM := make([]float64, len(samples))
-	for i, s := range samples {
-		rawA[i] = s.Access
-		rawM[i] = s.Miss
-	}
-	maA, err := timeseries.MovingAverage(rawA, cfg.W, cfg.DW)
+	ewA, err := timeseries.EWMASeries(p.maA, cfg.Alpha)
 	if err != nil {
 		return Profile{}, err
 	}
-	maM, err := timeseries.MovingAverage(rawM, cfg.W, cfg.DW)
-	if err != nil {
-		return Profile{}, err
-	}
-	ewA, err := timeseries.EWMASeries(maA, cfg.Alpha)
-	if err != nil {
-		return Profile{}, err
-	}
-	ewM, err := timeseries.EWMASeries(maM, cfg.Alpha)
+	ewM, err := timeseries.EWMASeries(p.maM, cfg.Alpha)
 	if err != nil {
 		return Profile{}, err
 	}
 
 	prof := Profile{
-		App:        app,
-		Windows:    len(maA),
+		App:        p.app,
+		Windows:    len(p.maA),
 		MeanAccess: timeseries.Mean(ewA),
 		StdAccess:  timeseries.StdDev(ewA),
 		MeanMiss:   timeseries.Mean(ewM),
@@ -92,7 +126,7 @@ func BuildProfile(app string, samples []pcm.Sample, cfg Config) (Profile, error)
 	}
 	// Stage-1 periodicity check on the MA series (EWMA may smooth the
 	// pattern away, §4.2.2 computes periods over MA).
-	if period, ok := signal.IsPeriodic(maA, cfg.PeriodTolerance, periodOptions(cfg, 0)); ok {
+	if period, ok := signal.IsPeriodic(p.maA, cfg.PeriodTolerance, periodOptions(cfg, 0)); ok {
 		prof.Periodic = true
 		prof.PeriodMA = period
 	}

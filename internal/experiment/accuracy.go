@@ -29,10 +29,18 @@ type AccuracyCell struct {
 // Accuracy reproduces Figs. 9 (recall), 10 (specificity) and 11 (delay):
 // c.Runs seeded runs for every application in apps, both attacks, and every
 // scheme the paper evaluates for that application. The grid is executed on
-// the parallel engine at run granularity; see Config.Parallel.
+// the parallel engine one telemetry stream at a time: every throttle-free
+// scheme of an (app, attack, run) observes one shared stream. See
+// Config.Parallel.
 func (c Config) Accuracy(apps []string) ([]AccuracyCell, error) {
 	if len(apps) == 0 {
 		apps = workload.AppNames()
+	}
+	if err := c.Validate(); err != nil {
+		return nil, err
+	}
+	if err := validateApps(apps); err != nil {
+		return nil, err
 	}
 	// Every (attack, scheme) cell of one (app, run) pair profiles from the
 	// same derived seed; share those Stage-1 passes across the grid.
@@ -51,23 +59,15 @@ func (c Config) Accuracy(apps []string) ([]AccuracyCell, error) {
 		}
 	}
 
-	type job struct {
-		cell cellKey
-		run  int
-	}
-	jobs := make([]job, 0, len(keys)*c.Runs)
+	jobs := make([]detectionJob, 0, len(keys)*c.Runs)
 	for _, k := range keys {
 		for run := 0; run < c.Runs; run++ {
-			jobs = append(jobs, job{k, run})
+			jobs = append(jobs, detectionJob{&c, k.app, k.kind, k.scheme, run})
 		}
 	}
-	outs, err := parallelMap(c.workers(), len(jobs), func(i int) (metrics.Outcome, error) {
+	outs, err := runDetections(c.workers(), jobs, func(i int) string {
 		j := jobs[i]
-		out, err := c.DetectionRun(j.cell.app, j.cell.kind, j.cell.scheme, j.run)
-		if err != nil {
-			return metrics.Outcome{}, fmt.Errorf("%s/%v/%s run %d: %w", j.cell.app, j.cell.kind, j.cell.scheme, j.run, err)
-		}
-		return out, nil
+		return fmt.Sprintf("%s/%v/%s run %d", j.app, j.kind, j.scheme, j.run)
 	})
 	if err != nil {
 		return nil, err
@@ -90,4 +90,15 @@ func (c Config) Accuracy(apps []string) ([]AccuracyCell, error) {
 		})
 	}
 	return cells, nil
+}
+
+// validateApps reports the first unknown application name as the workload
+// error, so a grid runner fails cleanly before it fans out.
+func validateApps(apps []string) error {
+	for _, app := range apps {
+		if _, err := workload.AppProfile(app); err != nil {
+			return err
+		}
+	}
+	return nil
 }

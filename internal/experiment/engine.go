@@ -10,12 +10,16 @@ import (
 
 // The parallel experiment engine. The evaluation grid — app × attack ×
 // scheme × run for Figs. 9–12 and value × attack × run for Figs. 13–18 —
-// is embarrassingly parallel: every detection run derives all of its
-// randomness from (Seed, app, attack, scheme, run index), shares no state
-// with any other run, and is scored independently. The engine fans the
-// flattened grid out over a bounded worker pool and writes each result
-// into its input-order slot, so the pooled distributions are bit-identical
-// to the serial path at any worker count.
+// is embarrassingly parallel: every detection run's telemetry derives all
+// of its randomness from its stream key — (Seed, app, attack, run index)
+// plus the stream-affecting config, T_PCM, StageSeconds and the ramp range
+// (see stream.go) — and its detector and score from the scheme and its
+// config. The scheme never enters the telemetry, so the runs of one stream
+// key share one generated stream (throttled schemes, whose decisions feed
+// back into their telemetry, excepted). The engine fans the grid out over a
+// bounded worker pool one stream at a time and writes each result into its
+// input-order slot, so the pooled distributions are bit-identical to the
+// serial path at any worker count.
 
 // workers returns the effective worker-pool size: Config.Parallel when
 // positive, else one worker per available CPU.

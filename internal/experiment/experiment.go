@@ -41,7 +41,8 @@ type Config struct {
 	// Runs is the number of repetitions per cell (the paper uses 20).
 	Runs int
 	// Parallel bounds the experiment engine's worker pool: the number of
-	// detection runs executed concurrently by Accuracy, Sweep and
+	// telemetry streams (each feeding one or more detection runs) executed
+	// concurrently by Accuracy, Sweep, ROC and Evasion, or of runs by
 	// Overhead. Zero means one worker per available CPU; results are
 	// bit-identical at every setting because each run is independently
 	// seeded and collected in input order.
@@ -66,7 +67,7 @@ type Config struct {
 
 	// profiles deduplicates Stage-1 profiling across grid cells that share
 	// a (app, seed, parameters) profile. Attached by the grid runners
-	// (Accuracy, Sweep); nil means profiles are built per run.
+	// (Accuracy, Sweep, ROC, Evasion); nil means profiles are built per run.
 	profiles *profileCache
 }
 
@@ -133,18 +134,25 @@ func (f *ThrottleState) Paused() bool { return f.paused }
 
 // buildProfile runs Stage 1: an attack-free profiling pass for the app.
 func (c Config) buildProfile(app string, seed uint64) (detect.Profile, error) {
-	model, err := workload.NewModel(workload.MustAppProfile(app), randx.DeriveString(seed, app+"/profile"))
+	appProf, err := workload.AppProfile(app)
+	if err != nil {
+		return detect.Profile{}, err
+	}
+	model, err := workload.NewModel(appProf, randx.DeriveString(seed, app+"/profile"))
+	if err != nil {
+		return detect.Profile{}, err
+	}
+	p, err := detect.NewProfiler(app, c.Detect)
 	if err != nil {
 		return detect.Profile{}, err
 	}
 	tpcm := c.Detect.TPCM
 	n := pcm.SampleCount(c.ProfileSeconds, tpcm)
-	samples := make([]pcm.Sample, n)
 	for i := 0; i < n; i++ {
 		a, m := model.Sample(tpcm, workload.Env{})
-		samples[i] = pcm.Sample{T: float64(i+1) * tpcm, Access: a, Miss: m}
+		p.Observe(pcm.Sample{T: float64(i+1) * tpcm, Access: a, Miss: m})
 	}
-	return detect.BuildProfile(app, samples, c.Detect)
+	return p.Profile()
 }
 
 // newDetector constructs the scheme's detector from a Stage-1 profile,
@@ -183,68 +191,23 @@ func (c Config) BuildDetector(app string, scheme Scheme, seed uint64) (detect.Pr
 // DetectionRun executes one closed-loop evaluation run: StageSeconds
 // without attack, then StageSeconds under the given attack, with the
 // detector observing PCM samples in real time. It returns the epoch-scored
-// outcome.
+// outcome. It is a stream of one member through the grid's detection-run
+// loop.
 func (c Config) DetectionRun(app string, kind attack.Kind, scheme Scheme, run int) (metrics.Outcome, error) {
 	return c.detectionRun(app, kind, scheme, run, nil)
 }
 
 // detectionRun is DetectionRun with an optional schedule modifier: mod runs
-// after the attack schedule is drawn (and consumes no run randomness, so
-// modified runs share the unmodified runs' sample paths exactly) with the
-// Stage-1 profile in scope — the evasion grid uses it to attach adaptive
-// strategies tuned against the victim's profiled period and the detector's
-// window geometry.
-func (c Config) detectionRun(app string, kind attack.Kind, scheme Scheme, run int,
-	mod func(prof detect.Profile, sched attack.Schedule) (attack.Schedule, error)) (metrics.Outcome, error) {
+// after the attack schedule is drawn with the Stage-1 profile in scope —
+// the evasion grid uses it to attach adaptive strategies tuned against the
+// victim's profiled period and the detector's window geometry.
+func (c Config) detectionRun(app string, kind attack.Kind, scheme Scheme, run int, mod scheduleMod) (metrics.Outcome, error) {
 	if err := c.Validate(); err != nil {
 		return metrics.Outcome{}, err
 	}
-	seed := randx.Derive(c.Seed, uint64(run)).Uint64()
-	prof, err := c.cachedProfile(app, seed)
-	if err != nil {
-		return metrics.Outcome{}, fmt.Errorf("profile %s: %w", app, err)
-	}
-	det, flag, err := c.newDetector(scheme, prof)
-	if err != nil {
-		return metrics.Outcome{}, fmt.Errorf("build %s for %s: %w", scheme, app, err)
-	}
-
-	runRng := randx.DeriveString(seed, app+"/run")
-	model, err := workload.NewModel(workload.MustAppProfile(app), runRng)
+	outs, _, err := runStream(app, kind, run, []streamMember{{&c, scheme}}, mod)
 	if err != nil {
 		return metrics.Outcome{}, err
 	}
-	sched := attack.Schedule{
-		Kind:  kind,
-		Start: c.StageSeconds,
-		Ramp:  runRng.Uniform(c.RampMin, c.RampMax),
-	}
-	if mod != nil {
-		// By-value in and out: handing mod a *Schedule would make sched
-		// escape to the heap on every detection run, modified or not.
-		if sched, err = mod(prof, sched); err != nil {
-			return metrics.Outcome{}, err
-		}
-	}
-
-	tpcm := c.Detect.TPCM
-	total := 2 * c.StageSeconds
-	n := pcm.SampleCount(total, tpcm)
-	states := make([]metrics.AlarmState, n)
-	for i := 0; i < n; i++ {
-		now := float64(i+1) * tpcm
-		a, m := model.Sample(tpcm, sched.Env(now, flag.paused))
-		det.Observe(pcm.Sample{T: now, Access: a, Miss: m})
-		states[i] = metrics.AlarmState{T: now, Alarmed: det.Alarmed()}
-	}
-
-	scorer := metrics.Scorer{
-		RunSeconds:   total,
-		AttackStart:  c.StageSeconds,
-		EpochSeconds: c.EpochSeconds,
-	}
-	if kind == attack.None {
-		scorer.AttackStart = 0
-	}
-	return scorer.Score(states)
+	return outs[0], nil
 }

@@ -92,6 +92,12 @@ func (c Config) Overhead(apps []string) ([]OverheadCell, error) {
 	if len(apps) == 0 {
 		apps = workload.AppNames()
 	}
+	if err := c.Validate(); err != nil {
+		return nil, err
+	}
+	if err := validateApps(apps); err != nil {
+		return nil, err
+	}
 	type cellKey struct {
 		app    string
 		scheme Scheme

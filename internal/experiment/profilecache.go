@@ -43,7 +43,7 @@ func profileParamsOf(cfg detect.Config) profileParams {
 }
 
 // profileCache deduplicates Stage-1 profiling across an experiment grid.
-// Accuracy evaluates up to 8 (attack × scheme) cells per (app, run) pair,
+// Accuracy evaluates up to 14 (attack × scheme) cells per (app, run) pair,
 // and DetectionRun derives the profile seed from (Seed, run) alone — so
 // without the cache the identical 2000-virtual-second profiling pass is
 // recomputed for every cell. The cache is safe for concurrent use; each

@@ -131,10 +131,12 @@ var rocAttackKinds = []attack.Kind{attack.BusLock, attack.Cleanse, attack.None}
 
 // ROC runs the tournament over the given applications. All (scheme,
 // threshold, app, kind, run) cells fan out onto the parallel engine
-// together and are pooled in input order, so the result is bit-identical
-// at every Config.Parallel setting. Schemes that require a periodic
-// profile (SDS/P) are evaluated on the periodic applications; if none of the given apps is
-// periodic, their curve is omitted.
+// together, one telemetry stream per task — every throttle-free setting of
+// an (app, kind, run) observes the same stream — and are pooled in input
+// order, so the result is bit-identical at every Config.Parallel setting.
+// Schemes that require a periodic profile (SDS/P) are evaluated on the
+// periodic applications; if none of the given apps is periodic, their
+// curve is omitted.
 func (c Config) ROC(apps []string) ([]ROCCurve, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
@@ -147,13 +149,11 @@ func (c Config) ROC(apps []string) ([]ROCCurve, error) {
 	c.profiles = newProfileCache()
 
 	schemes := rocSchemes()
-	type job struct {
-		si, ti int
-		app    string
-		kind   attack.Kind
-		run    int
-	}
-	var jobs []job
+	type cellIdx struct{ si, ti int }
+	var (
+		jobs []detectionJob
+		at   []cellIdx // (scheme, threshold) of each job
+	)
 	cfgs := make([][]Config, len(schemes))
 	for si, s := range schemes {
 		schemeApps, err := rocApps(apps, s.scheme)
@@ -176,21 +176,17 @@ func (c Config) ROC(apps []string) ([]ROCCurve, error) {
 			for _, app := range schemeApps {
 				for _, kind := range rocAttackKinds {
 					for run := 0; run < c.Runs; run++ {
-						jobs = append(jobs, job{si, ti, app, kind, run})
+						jobs = append(jobs, detectionJob{&cfgs[si][ti], app, kind, s.scheme, run})
+						at = append(at, cellIdx{si, ti})
 					}
 				}
 			}
 		}
 	}
 
-	outs, err := parallelMap(c.workers(), len(jobs), func(i int) (metrics.Outcome, error) {
-		j := jobs[i]
-		out, err := cfgs[j.si][j.ti].DetectionRun(j.app, j.kind, schemes[j.si].scheme, j.run)
-		if err != nil {
-			return metrics.Outcome{}, fmt.Errorf("%s %s=%v %s/%v run %d: %w",
-				schemes[j.si].scheme, schemes[j.si].knob, schemes[j.si].grid[j.ti], j.app, j.kind, j.run, err)
-		}
-		return out, nil
+	outs, err := runDetections(c.workers(), jobs, func(i int) string {
+		j, s := jobs[i], schemes[at[i].si]
+		return fmt.Sprintf("%s %s=%v %s/%v run %d", s.scheme, s.knob, s.grid[at[i].ti], j.app, j.kind, j.run)
 	})
 	if err != nil {
 		return nil, err
@@ -205,9 +201,9 @@ func (c Config) ROC(apps []string) ([]ROCCurve, error) {
 	for si := range schemes {
 		cells[si] = make([]cell, len(schemes[si].grid))
 	}
-	for i, j := range jobs {
+	for i, ix := range at {
 		out := outs[i]
-		cl := &cells[j.si][j.ti]
+		cl := &cells[ix.si][ix.ti]
 		cl.tp += out.TP
 		cl.fp += out.FP
 		cl.tn += out.TN

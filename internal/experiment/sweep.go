@@ -23,11 +23,16 @@ type SweepPoint struct {
 // them. Pooling goes through the shared runPool, whose per-side accounting
 // excludes vacuous statistics: only attack-onset runs feed the recall and
 // delay distributions (every run here has an onset; the guard matters for
-// the ROC tournament, which mixes in Kind None cells). All (value, attack, run) combinations fan out onto the parallel
-// engine together; see Config.Parallel.
+// the ROC tournament, which mixes in Kind None cells). All (value, attack,
+// run) combinations fan out onto the parallel engine together, and the
+// values of one (attack, run) observe one shared telemetry stream; see
+// Config.Parallel.
 func (c Config) Sweep(app string, values []float64, apply func(*Config, float64) error) ([]SweepPoint, error) {
 	if len(values) == 0 {
 		return nil, fmt.Errorf("experiment: sweep needs at least one value")
+	}
+	if err := validateApps([]string{app}); err != nil {
+		return nil, err
 	}
 	// Sweep values that leave the profiling parameters unchanged (e.g. the
 	// SDS/P-only knobs W_P and ΔW_P) share Stage-1 profiles through the
@@ -46,34 +51,28 @@ func (c Config) Sweep(app string, values []float64, apply func(*Config, float64)
 		cfgs[i] = cfg
 	}
 
-	type job struct {
-		vi   int
-		kind attack.Kind
-		run  int
-	}
-	var jobs []job
+	var (
+		jobs []detectionJob
+		at   []int // value index of each job
+	)
 	for vi := range values {
 		for _, kind := range []attack.Kind{attack.BusLock, attack.Cleanse} {
 			for run := 0; run < cfgs[vi].Runs; run++ {
-				jobs = append(jobs, job{vi, kind, run})
+				jobs = append(jobs, detectionJob{&cfgs[vi], app, kind, SchemeSDS, run})
+				at = append(at, vi)
 			}
 		}
 	}
-	outs, err := parallelMap(c.workers(), len(jobs), func(i int) (metrics.Outcome, error) {
-		j := jobs[i]
-		out, err := cfgs[j.vi].DetectionRun(app, j.kind, SchemeSDS, j.run)
-		if err != nil {
-			return metrics.Outcome{}, fmt.Errorf("%s/%v at %v run %d: %w", app, j.kind, values[j.vi], j.run, err)
-		}
-		return out, nil
+	outs, err := runDetections(c.workers(), jobs, func(i int) string {
+		return fmt.Sprintf("%s/%v at %v run %d", app, jobs[i].kind, values[at[i]], jobs[i].run)
 	})
 	if err != nil {
 		return nil, err
 	}
 
 	pools := make([]runPool, len(values))
-	for i, j := range jobs {
-		pools[j.vi].add(outs[i])
+	for i, vi := range at {
+		pools[vi].add(outs[i])
 	}
 	points := make([]SweepPoint, 0, len(values))
 	for i, v := range values {

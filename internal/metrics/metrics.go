@@ -70,42 +70,95 @@ func (s Scorer) Validate() error {
 }
 
 // Score evaluates a time-ordered alarm-state trace. states must cover the
-// run; gaps count as "not alarmed".
+// run; gaps count as "not alarmed". It is the batch form of Tally.
 func (s Scorer) Score(states []AlarmState) (Outcome, error) {
-	if err := s.Validate(); err != nil {
+	var t Tally
+	if err := t.Start(s); err != nil {
 		return Outcome{}, err
 	}
-	for i := 1; i < len(states); i++ {
-		if states[i].T < states[i-1].T {
-			return Outcome{}, fmt.Errorf("metrics: alarm states out of order at %d (%v after %v)",
-				i, states[i].T, states[i-1].T)
-		}
-	}
-
-	nEpochs := int(math.Ceil(s.RunSeconds/s.EpochSeconds - 1e-9))
-	alarmInEpoch := make([]bool, nEpochs)
 	for _, st := range states {
-		if !st.Alarmed {
-			continue
-		}
-		e := int(st.T / s.EpochSeconds)
-		if e >= 0 && e < nEpochs {
-			alarmInEpoch[e] = true
+		t.Add(st)
+	}
+	return t.Outcome()
+}
+
+// Tally is the streaming form of Score. It consumes a run's alarm-state
+// trace one observation at a time and keeps only what scoring needs: one
+// alarm flag per epoch and the first rising edge at or after the attack
+// start. Its memory is O(epochs), not O(observations), so a detection run
+// scores without buffering its trace. The zero value is ready for Start.
+type Tally struct {
+	s         Scorer
+	hasAttack bool
+	epochs    []bool // alarm seen in the epoch
+	n         int    // observations added
+	lastT     float64
+	err       error // first out-of-order observation
+
+	prevAlarmed bool
+	onset       bool // the first rising edge during the attack was seen
+	detected    bool
+	delay       float64
+}
+
+// Start validates s and resets t to score a new run under it.
+func (t *Tally) Start(s Scorer) error {
+	if err := s.Validate(); err != nil {
+		return err
+	}
+	*t = Tally{
+		s:         s,
+		hasAttack: s.AttackStart > 0 && s.AttackStart < s.RunSeconds,
+		epochs:    make([]bool, int(math.Ceil(s.RunSeconds/s.EpochSeconds-1e-9))),
+		delay:     -1,
+	}
+	return nil
+}
+
+// Add records the next observation. Observations must arrive in time
+// order; the first one that does not makes Outcome fail.
+func (t *Tally) Add(st AlarmState) {
+	if t.err != nil {
+		return
+	}
+	if t.n > 0 && st.T < t.lastT {
+		t.err = fmt.Errorf("metrics: alarm states out of order at %d (%v after %v)", t.n, st.T, t.lastT)
+		return
+	}
+	t.n++
+	t.lastT = st.T
+	if st.Alarmed {
+		if e := int(st.T / t.s.EpochSeconds); e >= 0 && e < len(t.epochs) {
+			t.epochs[e] = true
 		}
 	}
+	if t.hasAttack && !t.onset {
+		if st.Alarmed && st.T >= t.s.AttackStart {
+			t.detected = true
+			if !t.prevAlarmed {
+				t.delay = st.T - t.s.AttackStart
+				t.onset = true
+			}
+		}
+		t.prevAlarmed = st.Alarmed
+	}
+}
 
-	hasAttack := s.AttackStart > 0 && s.AttackStart < s.RunSeconds
-	var out Outcome
-	out.Delay = -1
-	for e := 0; e < nEpochs; e++ {
-		epochEnd := float64(e+1) * s.EpochSeconds
-		positive := hasAttack && epochEnd > s.AttackStart
+// Outcome scores the observations added since Start.
+func (t *Tally) Outcome() (Outcome, error) {
+	if t.err != nil {
+		return Outcome{}, t.err
+	}
+	out := Outcome{Delay: t.delay, Detected: t.detected}
+	for e, alarmed := range t.epochs {
+		epochEnd := float64(e+1) * t.s.EpochSeconds
+		positive := t.hasAttack && epochEnd > t.s.AttackStart
 		switch {
-		case positive && alarmInEpoch[e]:
+		case positive && alarmed:
 			out.TP++
-		case positive && !alarmInEpoch[e]:
+		case positive && !alarmed:
 			out.FN++
-		case !positive && alarmInEpoch[e]:
+		case !positive && alarmed:
 			out.FP++
 		default:
 			out.TN++
@@ -113,21 +166,6 @@ func (s Scorer) Score(states []AlarmState) (Outcome, error) {
 	}
 	out.Recall = ratioOrOne(out.TP, out.TP+out.FN)
 	out.Specificity = ratioOrOne(out.TN, out.TN+out.FP)
-
-	if hasAttack {
-		prevAlarmed := false
-		for i, st := range states {
-			if st.Alarmed && st.T >= s.AttackStart {
-				out.Detected = true
-				rising := i == 0 || !prevAlarmed
-				if rising {
-					out.Delay = st.T - s.AttackStart
-					break
-				}
-			}
-			prevAlarmed = st.Alarmed
-		}
-	}
 	return out, nil
 }
 
